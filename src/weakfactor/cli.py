@@ -19,6 +19,7 @@ import sys
 
 from . import __version__, experiments
 from .entrywise import DEFAULT_C0, calibrate_c0
+from .model import DEFAULT_SEED
 from .montecarlo import (
     ExperimentError,
     ResultTable,
@@ -115,33 +116,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Defaults per subcommand; every subcommand also takes the keys of _COMMON.
+_COMMON = {"seed": DEFAULT_SEED, "threads": None, "out": None}
 DEFAULTS = {
     "entrywise-rate": {
-        "n": 100, "T": 100, "reps": 500, "seed": 20260823, "kappa": 1.0,
+        "n": 100, "T": 100, "reps": 500, "kappa": 1.0,
         "spike_frac": 0.75, "mode": "tau", "format": "csv",
     },
     "entrywise-coverage": {
-        "n": 100, "T": 100, "reps": 500, "seed": 20260823, "kappa": 1.0,
+        "n": 100, "T": 100, "reps": 500, "kappa": 1.0,
         "c0": DEFAULT_C0, "calibrate": False, "format": "csv",
     },
     "adaptivity-demo": {
-        "n": 100, "T": 100, "reps": 500, "seed": 20260823, "kappa": 1.0,
+        "n": 100, "T": 100, "reps": 500, "kappa": 1.0,
         "eta": 0.5, "tau2": 1.0, "alpha": 0.05, "format": "csv",
     },
     "lower-bound-check": {
-        "n": 100, "T": 100, "reps": 2000, "seed": 20260823, "kappa": 1.0,
+        "n": 100, "T": 100, "reps": 2000, "kappa": 1.0,
         "tau": None, "alpha": 0.05, "format": "json",
     },
     "panel-rate": {
-        "n": None, "T": None, "reps": 500, "seed": 20260823,
+        "n": None, "T": None, "reps": 500,
         "panel_config": "strong", "beta": 0.5, "format": "csv",
     },
     "panel-tradeoff": {
-        "n": 100, "T": 100, "reps": 500, "seed": 20260823, "kappa2": 10.0,
+        "n": 100, "T": 100, "reps": 500, "kappa2": 10.0,
         "c": 3.9, "format": "csv",
     },
     "oracle-check": {
-        "n": 8, "T": 8, "reps": 100_000, "seed": 20260823, "format": "json",
+        "n": 8, "T": 8, "reps": 100_000, "format": "json",
     },
 }
 
@@ -159,9 +162,7 @@ def _coerce(key: str, raw: str):
 def resolve_config(args: argparse.Namespace) -> dict:
     """Merge defaults, config-file values, and flags (highest priority last)."""
     sub = args.subcommand
-    cfg = dict(DEFAULTS[sub])
-    cfg.setdefault("threads", None)
-    cfg.setdefault("out", None)
+    cfg = {**_COMMON, **DEFAULTS[sub]}
 
     if args.config:
         ini = configparser.ConfigParser()
@@ -181,7 +182,12 @@ def resolve_config(args: argparse.Namespace) -> dict:
             continue
         cfg[key] = value
 
-    if cfg.get("threads") is None:
+    if cfg["reps"] < 1:
+        raise ValueError(f"reps must be >= 1, got {cfg['reps']}")
+    for key in ("n", "T"):
+        if cfg[key] is not None and cfg[key] < 2:
+            raise ValueError(f"{key} must be >= 2, got {cfg[key]}")
+    if cfg["threads"] is None:
         cfg["threads"] = int(os.environ.get("WEAKFACTOR_THREADS", "1"))
     cfg["subcommand"] = sub
     cfg["library_version"] = __version__

@@ -18,17 +18,17 @@ import numpy as np
 from scipy import stats
 
 from .linalg import spectral_norm, svd_truncated, zero_entry_11
-from .model import replication_rng
+from .model import DEFAULT_SEED, FactorInstance, replication_rng, sample_observation
 
 __all__ = [
     "Interval",
     "EntrywiseEstimate",
     "DegenerateLoadingError",
-    "pca_loadings",
     "estimate_m11",
     "spectral_threshold",
     "adaptive_estimate_m11",
     "adaptive_ci",
+    "adaptive_ci_from_estimate",
     "estimate_noise_variance",
     "eigenvalue_ratio_khat",
     "naive_pretest_ci",
@@ -73,11 +73,6 @@ class EntrywiseEstimate:
     truncated: bool
 
 
-def pca_loadings(w, k: int) -> np.ndarray:
-    """Top-k left singular vectors of `w` (orthonormal columns)."""
-    return svd_truncated(w, k).U
-
-
 def estimate_m11(x) -> float:
     """Rank-one PCA plug-in estimate of the (1,1) entry.
 
@@ -90,7 +85,7 @@ def estimate_m11(x) -> float:
     if n < 2 or t < 2:
         raise ValueError("need at least a 2x2 data matrix")
     w = x[:, 1:]
-    lhat = pca_loadings(w, 1)[:, 0]
+    lhat = svd_truncated(w, 1).U[:, 0]
     rest = lhat[1:]
     denom = float(rest @ rest)
     if denom == 0.0:
@@ -128,11 +123,18 @@ def adaptive_ci(x, kappa_bar: float, c0: float = DEFAULT_C0) -> Interval:
     interval is centered at the plug-in estimate with half-width
     (c0/2) min{sqrt(n+T)/spectral_stat, 1}.
     """
-    if c0 <= 0:
-        raise ValueError("c0 must be positive")
     x = np.asarray(x, dtype=float)
     n, t = x.shape
-    est = adaptive_estimate_m11(x, kappa_bar)
+    return adaptive_ci_from_estimate(adaptive_estimate_m11(x, kappa_bar), n, t, kappa_bar, c0)
+
+
+def adaptive_ci_from_estimate(
+    est: EntrywiseEstimate, n: int, t: int, kappa_bar: float, c0: float = DEFAULT_C0
+) -> Interval:
+    """The :func:`adaptive_ci` interval of an n x T matrix whose estimate is
+    already computed, so that the data are decomposed once."""
+    if c0 <= 0:
+        raise ValueError("c0 must be positive")
     if est.truncated:
         return Interval(-kappa_bar, kappa_bar)
     half = 0.5 * c0 * min(math.sqrt(n + t) / est.spectral_stat, 1.0)
@@ -189,7 +191,7 @@ def naive_pretest_ci(x, alpha: float = 0.05, k_max: int = 2) -> Interval:
     w = x[:, 1:]
     khat = eigenvalue_ratio_khat(w, k_max)
 
-    lhat = pca_loadings(w, khat)          # n x khat, orthonormal
+    lhat = svd_truncated(w, khat).U      # n x khat, orthonormal
     # Column-1 factor score by least squares on the observed rows 2..n.
     l_rest = lhat[1:, :]
     gram = l_rest.T @ l_rest
@@ -221,7 +223,7 @@ def calibrate_c0(
     tau_grid,
     alpha: float = 0.05,
     reps: int = 1000,
-    seed: int = 20260823,
+    seed: int = DEFAULT_SEED,
 ) -> float:
     """Smallest width constant reaching 1 - alpha coverage on a reference grid.
 
@@ -230,8 +232,6 @@ def calibrate_c0(
     c0 that would have covered the truth, and the calibrated value is the
     largest (1 - alpha) quantile of those requirements across the grid.
     """
-    from .model import FactorInstance, sample_observation  # local import: no cycle
-
     required = 0.0
     sqrt_nt = math.sqrt(n + t)
     for gi, tau in enumerate(tau_grid):

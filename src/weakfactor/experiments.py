@@ -15,6 +15,7 @@ oracle cross-checks) live here as plain functions.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -29,13 +30,15 @@ from .adversarial import (
 )
 from .entrywise import (
     DEFAULT_C0,
-    adaptive_ci,
+    adaptive_ci_from_estimate,
     adaptive_estimate_m11,
     estimate_m11,
     naive_pretest_ci,
 )
 from .model import (
+    DEFAULT_SEED,
     FactorInstance,
+    PanelInstance,
     replication_rng,
     sample_observation,
     sample_panel,
@@ -124,11 +127,12 @@ def panel_means(
 
 
 # ---------------------------------------------------------------------------
-# Registered generators.  Signature: (grid_point, params, rng) -> (truth, data).
+# Registered generators.  Signature: (grid_point, params) -> (truth, draw),
+# where draw(rng) -> data samples from the instance built once per grid point.
 
 
 @register_generator("rank_one_entrywise")
-def _gen_rank_one(grid_point, params, rng):
+def _gen_rank_one(grid_point, params):
     n, t, tau = int(grid_point["n"]), int(grid_point["T"]), float(grid_point["tau"])
     kappa = float(params.get("kappa", 1.0))
     spike_frac = params.get("spike_frac")
@@ -136,13 +140,12 @@ def _gen_rank_one(grid_point, params, rng):
         inst = flat_rank_one_instance(n, t, tau, kappa)
     else:
         inst = spiked_rank_one_instance(n, t, tau, kappa, float(spike_frac))
-    return inst.mean[0, 0], sample_observation(inst, rng)
+    return inst.mean[0, 0], partial(sample_observation, inst)
 
 
 @register_generator("perturbation_pair_arm")
-def _gen_perturbation_arm(grid_point, params, rng):
+def _gen_perturbation_arm(grid_point, params):
     n, t = int(grid_point["n"]), int(grid_point["T"])
-    arm = grid_point["arm"]
     kappa = float(params.get("kappa", 1.0))
     eta = float(params.get("eta", 0.5))
     tau0 = float(params.get("tau0", math.sqrt(n * t) / 24.0))
@@ -151,36 +154,33 @@ def _gen_perturbation_arm(grid_point, params, rng):
         np.full((n, t), kappa * (1.0 - eta)), kappa, label="perturbation-base"
     )
     pair = entry_perturbation_pair(base, eta=eta, kappa=kappa, tau0=tau0, tau2=tau2)
-    inst = pair.null_instance if arm == "base" else pair.alt_instance
-    return inst.mean[0, 0], sample_observation(inst, rng)
+    inst = pair.null_instance if grid_point["arm"] == "base" else pair.alt_instance
+    return inst.mean[0, 0], partial(sample_observation, inst)
 
 
 @register_generator("panel_config")
-def _gen_panel(grid_point, params, rng):
+def _gen_panel(grid_point, params):
     n, t = int(grid_point["n"]), int(grid_point["T"])
     beta = float(params.get("beta", 0.5))
     sigma_m = math.sqrt(n + t) if params.get("weak_m") else math.sqrt(n * t)
     sigma_d = math.sqrt(n + t) if params.get("weak_d") else math.sqrt(n * t)
     m, d = panel_means(n, t, sigma_m, sigma_d)
-    from .model import PanelInstance
-
     inst = PanelInstance(
         mean=m, regressor_mean=d, sigma_eps=1.0, sigma_u=1.0, beta=beta,
         r0=1, r1=1, kappa=10.0,
     )
-    return beta, sample_panel(inst, rng)
+    return beta, partial(sample_panel, inst)
 
 
 @register_generator("panel_pair_arm")
-def _gen_panel_arm(grid_point, params, rng):
+def _gen_panel_arm(grid_point, params):
     n, t = int(grid_point["n"]), int(grid_point["T"])
-    arm = grid_point["arm"]
     kappa2 = float(params.get("kappa2", 10.0))
     c = float(params.get("c", 3.9))
     m1, d1 = panel_means(n, t, math.sqrt(n * t), kappa2 * math.sqrt(n * t))
     pair = panel_shift_pair(m1, d1, c)
-    inst = pair.null_instance if arm == "null" else pair.alt_instance
-    return inst.beta, sample_panel(inst, rng)
+    inst = pair.null_instance if grid_point["arm"] == "null" else pair.alt_instance
+    return inst.beta, partial(sample_panel, inst)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,7 @@ def _proc_adaptive_ci(data, grid_point, params):
     kappa_bar = float(params.get("kappa_bar", 1.0))
     c0 = float(params.get("c0", DEFAULT_C0))
     est = adaptive_estimate_m11(data, kappa_bar)
-    iv = adaptive_ci(data, kappa_bar, c0)
+    iv = adaptive_ci_from_estimate(est, *data.shape, kappa_bar, c0)
     return {
         "estimate": est.value,
         "lower": iv.lower,
@@ -260,7 +260,7 @@ def rate_in_tau_spec(
     t: int = 100,
     tau_fracs=(0.1, 0.2, 0.4, 0.8),
     reps: int = 500,
-    seed: int = 20260823,
+    seed: int = DEFAULT_SEED,
     kappa: float = 1.0,
     spike_frac: float = 0.75,
 ) -> ExperimentSpec:
@@ -283,7 +283,7 @@ def rate_in_size_spec(
     sizes=(50, 100, 200),
     tau_frac: float = 0.5,
     reps: int = 500,
-    seed: int = 20260823,
+    seed: int = DEFAULT_SEED,
     kappa: float = 1.0,
     spike_frac: float = 0.75,
 ) -> ExperimentSpec:
@@ -310,7 +310,7 @@ def adaptive_coverage_spec(
     t: int = 100,
     tau_fracs=(0.3, 0.5, 1.0),
     reps: int = 500,
-    seed: int = 20260823,
+    seed: int = DEFAULT_SEED,
     kappa: float = 1.0,
     c0: float = DEFAULT_C0,
 ) -> ExperimentSpec:
@@ -340,7 +340,7 @@ def pretest_control_spec(
     n: int = 100,
     t: int = 100,
     reps: int = 500,
-    seed: int = 20260823,
+    seed: int = DEFAULT_SEED,
     kappa: float = 1.0,
     eta: float = 0.5,
     tau2: float = 1.0,
@@ -382,7 +382,7 @@ def panel_rate_spec(
     config: str = "strong",
     sizes=(50, 100, 200),
     reps: int = 500,
-    seed: int = 20260823,
+    seed: int = DEFAULT_SEED,
     beta: float = 0.5,
 ) -> ExperimentSpec:
     """sqrt(nT)-scaled RMSE of the trace estimator across sizes."""
@@ -408,7 +408,7 @@ def panel_tradeoff_spec(
     kappa2: float = 10.0,
     c: float = 3.9,
     reps: int = 500,
-    seed: int = 20260823,
+    seed: int = DEFAULT_SEED,
 ) -> ExperimentSpec:
     """Fixed-width strong-factor interval against the shifted alternative.
 
@@ -442,7 +442,7 @@ def lr_power_check(
     kappa: float = 1.0,
     alpha: float = 0.05,
     reps: int = 2000,
-    seed: int = 20260823,
+    seed: int = DEFAULT_SEED,
 ) -> dict:
     """Power of the empirically calibrated likelihood-ratio test.
 
@@ -487,7 +487,7 @@ def noise_norm_check(
     t: int = 100,
     factor: float = 3.0,
     reps: int = 500,
-    seed: int = 20260823,
+    seed: int = DEFAULT_SEED,
 ) -> dict:
     """Frequency of ||noise|| <= factor * sqrt(n + T) for iid Gaussian noise."""
     bound = factor * math.sqrt(n + t)
@@ -504,7 +504,7 @@ def noise_norm_check(
 
 def oracle_checks(
     reps: int = 100_000,
-    seed: int = 20260823,
+    seed: int = DEFAULT_SEED,
     n: int = 8,
     t: int = 8,
 ) -> dict:

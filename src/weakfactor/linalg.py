@@ -18,7 +18,6 @@ __all__ = [
     "annihilator",
     "spectral_norm",
     "frobenius_norm",
-    "nuclear_norm",
     "max_abs_entry",
     "zero_entry_11",
     "trace_product",
@@ -108,11 +107,6 @@ def spectral_norm(a) -> float:
 
 def frobenius_norm(a) -> float:
     return float(np.linalg.norm(_as_matrix(a), "fro"))
-
-
-def nuclear_norm(a) -> float:
-    """Sum of singular values."""
-    return float(np.sum(np.linalg.svd(_as_matrix(a), compute_uv=False)))
 
 
 def max_abs_entry(a) -> float:

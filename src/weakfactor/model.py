@@ -26,14 +26,17 @@ __all__ = [
     "sample_observation",
     "sample_panel",
     "make_rank_one",
-    "make_rank_two",
     "replication_rng",
+    "DEFAULT_SEED",
 ]
 
 # Relative tolerance used both for numerical-rank decisions
 # (sigma_{k+1} <= RANK_RTOL * sigma_1 counts as rank <= k) and for
 # inequality slack in membership checks.
 RANK_RTOL = 1e-8
+
+# Master seed of every experiment and check unless the caller gives one.
+DEFAULT_SEED = 20260823
 
 
 def make_rank_one(l, f) -> np.ndarray:
@@ -43,11 +46,6 @@ def make_rank_one(l, f) -> np.ndarray:
     if l.size == 0 or f.size == 0:
         raise ValueError("factor vectors must be nonempty")
     return np.outer(l, f)
-
-
-def make_rank_two(l1, f1, l2, f2) -> np.ndarray:
-    """Sum of two outer products, rank at most 2."""
-    return make_rank_one(l1, f1) + make_rank_one(l2, f2)
 
 
 @dataclass(frozen=True)
@@ -73,10 +71,6 @@ class FactorInstance:
         s = np.linalg.svd(self.mean, compute_uv=False)
         if s.size > 2 and s[0] > 0 and s[2] > RANK_RTOL * s[0]:
             raise ValueError("mean matrix has numerical rank > 2")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.mean.shape
 
     def to_json(self) -> str:
         n, t = self.mean.shape
@@ -127,10 +121,6 @@ class PanelInstance:
                 raise ValueError(f"{name}={sig:g} outside [1/kappa, kappa]")
         if abs(self.beta) > self.kappa:
             raise ValueError("|beta| exceeds kappa")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.mean.shape
 
     def to_json(self) -> str:
         n, t = self.mean.shape

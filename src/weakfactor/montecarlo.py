@@ -36,9 +36,11 @@ __all__ = [
     "write_json_summary",
 ]
 
-# A generator maps (grid_point, params, rng) -> (truth, data); a procedure
-# maps (data, grid_point, params) -> a result dict with at least "estimate",
-# optionally "lower"/"upper" for interval procedures, plus free-form extras.
+# A generator maps (grid_point, params) -> (truth, draw): it builds the grid
+# point's ground truth once, and draw(rng) -> data samples one replication
+# from it.  A procedure maps (data, grid_point, params) -> a result dict with
+# at least "estimate", optionally "lower"/"upper" for interval procedures,
+# plus free-form extras.
 _GENERATORS: dict[str, Callable] = {}
 _PROCEDURES: dict[str, Callable] = {}
 
@@ -134,21 +136,21 @@ class ResultTable:
     summaries: tuple  # of GridSummary
 
 
-def _run_cell(spec: ExperimentSpec, gi: int, rep: int) -> ReplicationRecord:
-    gen = get_generator(spec.generator)
-    proc = get_procedure(spec.procedure)
-    grid_point = spec.grid[gi]
-    rng = replication_rng(spec.master_seed, gi, rep)
+def _run_cell(spec: ExperimentSpec, proc, points, gi: int, rep: int) -> ReplicationRecord:
+    truth, draw = points[gi]
     try:
-        truth, data = gen(grid_point, spec.generator_params, rng)
-        result = proc(data, grid_point, spec.procedure_params)
+        data = draw(replication_rng(spec.master_seed, gi, rep))
+        result = proc(data, spec.grid[gi], spec.procedure_params)
+        estimate = result.get("estimate")
+        lower, upper = result.get("lower"), result.get("upper")
+        for name, value in (("estimate", estimate), ("lower", lower), ("upper", upper)):
+            if value is not None and not math.isfinite(value):
+                raise FloatingPointError(f"non-finite {name} {value!r}")
     except Exception as exc:  # recorded, not retried: retries would bias coverage
         return ReplicationRecord(
             grid_index=gi, rep=rep, estimate=None, truth=None,
             covered=None, width=None, error_tag=f"{type(exc).__name__}: {exc}",
         )
-    estimate = result.get("estimate")
-    lower, upper = result.get("lower"), result.get("upper")
     covered = width = None
     if lower is not None and upper is not None:
         covered = bool(lower <= truth <= upper)
@@ -200,7 +202,20 @@ def _summarize(spec: ExperimentSpec, gi: int, rows: list) -> GridSummary:
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
-    """Run all replications; deterministic output regardless of worker count."""
+    """Run all replications; deterministic output regardless of worker count.
+
+    Each grid point is built once, before any replication runs; one that
+    cannot be built raises :class:`ExperimentError`.
+    """
+    gen = get_generator(spec.generator)
+    proc = get_procedure(spec.procedure)
+    points = []
+    for gi, grid_point in enumerate(spec.grid):
+        try:
+            points.append(gen(grid_point, spec.generator_params))
+        except Exception as exc:
+            raise ExperimentError(f"{spec.name}: grid point {gi} {grid_point} "
+                                  f"cannot be built: {type(exc).__name__}: {exc}") from exc
     cells = [
         (gi, rep)
         for gi in range(len(spec.grid))
@@ -208,12 +223,9 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     ]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda c: _run_cell(spec, *c), cells))
+            records = list(pool.map(lambda c: _run_cell(spec, proc, points, *c), cells))
     else:
-        records = [_run_cell(spec, gi, rep) for gi, rep in cells]
-    # map() preserves submission order, so records are already sorted by
-    # (grid_index, rep); keep the invariant explicit anyway.
-    records.sort(key=lambda r: (r.grid_index, r.rep))
+        records = [_run_cell(spec, proc, points, gi, rep) for gi, rep in cells]
 
     summaries = []
     for gi in range(len(spec.grid)):
@@ -244,10 +256,6 @@ def rate_slope(table: ResultTable, x_key: str, y_key: str) -> float:
             raise ValueError(f"missing {x_key!r} or {y_key!r} at grid {summ.grid_index}")
         xs.append(float(x))
         ys.append(float(y))
-    return _loglog_slope(xs, ys)
-
-
-def _loglog_slope(xs, ys) -> float:
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.size < 3:

@@ -68,11 +68,19 @@ def test_config_file_missing_and_bad_key(tmp_path):
     assert run_cli(["entrywise-rate", "--config", str(bad)]) == 2
 
 
-def test_experiment_failure_exit_code(tmp_path):
-    # n = 1 cannot support the rank-one construction: every replication
-    # errors, tripping the error-budget check.
-    code = run_cli(["entrywise-rate", "--n", "1", "--T", "30", "--reps", "5"])
+@pytest.mark.parametrize("flags", [["--reps", "0"], ["--n", "1"], ["--T", "1"]])
+def test_invalid_size_exit_code(flags, capsys):
+    assert run_cli(["entrywise-rate", *flags]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_experiment_failure_exit_code(capsys):
+    # At n = T = 10 the hidden-entry pair has no room for its perturbation
+    # (tau0 = sqrt(nT)/24 < tau2): the first grid point cannot be built, and
+    # the run stops before any replication.
+    code = run_cli(["adaptivity-demo", "--n", "10", "--T", "10", "--reps", "5"])
     assert code == 1
+    assert "grid point 0" in capsys.readouterr().err
 
 
 def test_lower_bound_check_prints_tv(tmp_path, capsys):

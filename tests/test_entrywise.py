@@ -13,14 +13,14 @@ from weakfactor.entrywise import (
     eigenvalue_ratio_khat,
     estimate_m11,
     estimate_noise_variance,
+    adaptive_ci_from_estimate,
     naive_pretest_ci,
-    pca_loadings,
     spectral_threshold,
 )
+from weakfactor.linalg import svd_truncated
 from weakfactor.model import (
     FactorInstance,
     make_rank_one,
-    make_rank_two,
     replication_rng,
     sample_observation,
 )
@@ -60,7 +60,7 @@ def test_estimate_m11_never_reads_missing_entry():
 
 def test_estimate_m11_loading_sign_invariance():
     x = random_rank_one() + RNG.standard_normal((12, 9))
-    lhat = pca_loadings(x[:, 1:], 1)[:, 0]
+    lhat = svd_truncated(x[:, 1:], 1).U[:, 0]
     vals = []
     for orient in (lhat, -lhat):
         rest = orient[1:]
@@ -122,6 +122,11 @@ def test_adaptive_ci_branches_and_width():
     stronger = 10.0 * strong
     assert adaptive_ci(stronger, kappa_bar, c0=4.0).width < iv.width
 
+    # The interval around a computed estimate is the same interval, bitwise.
+    for x in (weak, strong):
+        est = adaptive_estimate_m11(x, kappa_bar)
+        assert adaptive_ci_from_estimate(est, n, t, kappa_bar, 4.0) == adaptive_ci(x, kappa_bar, 4.0)
+
     with pytest.raises(ValueError):
         adaptive_ci(strong, kappa_bar, c0=0.0)
 
@@ -167,7 +172,7 @@ def test_eigenvalue_ratio_khat_two_strong_factors():
     n = t = 100
     l2 = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     f2 = np.where(np.arange(t) % 2 == 0, 1.0, -1.0)
-    m = make_rank_two(np.full(n, 0.9), np.ones(t), 0.7 * l2, f2)
+    m = make_rank_one(np.full(n, 0.9), np.ones(t)) + make_rank_one(0.7 * l2, f2)
     inst = FactorInstance(m, kappa=1.6)
     hits = 0
     for r in range(200):

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from weakfactor import experiments as ex
-from weakfactor.model import replication_rng
+from weakfactor.adversarial import entry_perturbation_pair, panel_shift_pair
+from weakfactor.model import (
+    FactorInstance,
+    PanelInstance,
+    replication_rng,
+    sample_observation,
+    sample_panel,
+)
 from weakfactor.montecarlo import get_generator, get_procedure, run_experiment
 
 
@@ -65,24 +72,82 @@ def test_registered_names_resolve():
 
 def test_generator_outputs():
     rng = replication_rng(1, 0, 0)
-    truth, data = get_generator("rank_one_entrywise")(
-        {"n": 20, "T": 20, "tau": 10.0}, {"kappa": 1.0, "spike_frac": 0.75}, rng
+    truth, draw = get_generator("rank_one_entrywise")(
+        {"n": 20, "T": 20, "tau": 10.0}, {"kappa": 1.0, "spike_frac": 0.75}
     )
-    assert data.shape == (20, 20)
+    assert draw(rng).shape == (20, 20)
     assert 0.0 < truth <= 1.0
 
-    truth, (x, y) = get_generator("panel_config")(
-        {"n": 10, "T": 12}, {"beta": 0.5}, rng
-    )
+    truth, draw = get_generator("panel_config")({"n": 10, "T": 12}, {"beta": 0.5})
+    x, y = draw(rng)
     assert truth == 0.5 and x.shape == (10, 12) and y.shape == (10, 12)
 
-    t_null, _ = get_generator("panel_pair_arm")(
-        {"n": 10, "T": 10, "arm": "null"}, {}, rng
-    )
-    t_alt, _ = get_generator("panel_pair_arm")(
-        {"n": 10, "T": 10, "arm": "alt"}, {}, rng
-    )
+    t_null, _ = get_generator("panel_pair_arm")({"n": 10, "T": 10, "arm": "null"}, {})
+    t_alt, _ = get_generator("panel_pair_arm")({"n": 10, "T": 10, "arm": "alt"}, {})
     assert t_null == 0.0 and t_alt == pytest.approx(3.9 / 10.0)
+
+
+def _build_rank_one(gp, params):
+    n, t, tau = gp["n"], gp["T"], gp["tau"]
+    if params.get("spike_frac") is None:
+        inst = ex.flat_rank_one_instance(n, t, tau, params["kappa"])
+    else:
+        inst = ex.spiked_rank_one_instance(n, t, tau, params["kappa"], params["spike_frac"])
+    return inst.mean[0, 0], inst, sample_observation
+
+
+def _build_perturbation_arm(gp, params):
+    n, t, kappa, eta = gp["n"], gp["T"], params["kappa"], params["eta"]
+    base = FactorInstance(np.full((n, t), kappa * (1.0 - eta)), kappa)
+    pair = entry_perturbation_pair(base, eta=eta, kappa=kappa,
+                                   tau0=math.sqrt(n * t) / 24.0, tau2=params["tau2"])
+    inst = pair.null_instance if gp["arm"] == "base" else pair.alt_instance
+    return inst.mean[0, 0], inst, sample_observation
+
+
+def _build_panel(gp, params):
+    n, t = gp["n"], gp["T"]
+    sigma_m = math.sqrt(n + t) if params["weak_m"] else math.sqrt(n * t)
+    sigma_d = math.sqrt(n + t) if params["weak_d"] else math.sqrt(n * t)
+    m, d = ex.panel_means(n, t, sigma_m, sigma_d)
+    inst = PanelInstance(mean=m, regressor_mean=d, sigma_eps=1.0, sigma_u=1.0,
+                         beta=params["beta"], r0=1, r1=1, kappa=10.0)
+    return params["beta"], inst, sample_panel
+
+
+def _build_panel_arm(gp, params):
+    n, t = gp["n"], gp["T"]
+    m1, d1 = ex.panel_means(n, t, math.sqrt(n * t), params["kappa2"] * math.sqrt(n * t))
+    pair = panel_shift_pair(m1, d1, params["c"])
+    inst = pair.null_instance if gp["arm"] == "null" else pair.alt_instance
+    return inst.beta, inst, sample_panel
+
+
+@pytest.mark.parametrize("spec, build", [
+    (ex.rate_in_tau_spec(n=30, t=30, reps=3, seed=5), _build_rank_one),
+    (ex.adaptive_coverage_spec(n=30, t=30, reps=3, seed=5), _build_rank_one),
+    (ex.pretest_control_spec(n=30, t=30, reps=3, seed=5), _build_perturbation_arm),
+    (ex.panel_rate_spec("weak_d", sizes=(20, 30), reps=3, seed=5), _build_panel),
+    (ex.panel_tradeoff_spec(n=30, t=30, reps=3, seed=5), _build_panel_arm),
+], ids=["spiked", "flat", "perturbation-pair", "panel", "panel-pair"])
+def test_rows_match_a_loop_that_rebuilds_every_replication(spec, build):
+    proc = get_procedure(spec.procedure)
+    expected = []
+    for gi, gp in enumerate(spec.grid):
+        for rep in range(spec.replications):
+            truth, inst, sample = build(gp, spec.generator_params)
+            data = sample(inst, replication_rng(spec.master_seed, gi, rep))
+            result = proc(data, gp, spec.procedure_params)
+            covered = width = None
+            if "lower" in result:
+                covered = bool(result["lower"] <= truth <= result["upper"])
+                width = float(result["upper"] - result["lower"])
+            aux = {k: v for k, v in result.items() if k not in ("estimate", "lower", "upper")}
+            expected.append((gi, rep, float(result["estimate"]), float(truth), covered, width, aux))
+    rows = run_experiment(spec, workers=2).rows
+    assert all(not r.error_tag for r in rows)
+    assert [(r.grid_index, r.rep, r.estimate, r.truth, r.covered, r.width, r.aux)
+            for r in rows] == expected
 
 
 def test_spec_builders_run_small():

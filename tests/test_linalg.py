@@ -8,7 +8,6 @@ from weakfactor.linalg import (
     annihilator,
     frobenius_norm,
     max_abs_entry,
-    nuclear_norm,
     numerical_rank,
     projector,
     spectral_norm,
@@ -93,7 +92,6 @@ def test_norms_against_numpy():
     s = np.linalg.svd(a, compute_uv=False)
     assert spectral_norm(a) == pytest.approx(s[0], rel=1e-12)
     assert frobenius_norm(a) == pytest.approx(np.sqrt(np.sum(a * a)), rel=1e-12)
-    assert nuclear_norm(a) == pytest.approx(np.sum(s), rel=1e-12)
     assert max_abs_entry(a) == np.max(np.abs(a))
 
 

@@ -9,7 +9,6 @@ from weakfactor.model import (
     SpaceSpec,
     check_membership,
     make_rank_one,
-    make_rank_two,
     replication_rng,
     sample_observation,
     sample_panel,
@@ -28,8 +27,8 @@ def test_make_rank_one_singular_value():
 
 
 def test_make_rank_two_rank():
-    m = make_rank_two(RNG.standard_normal(5), RNG.standard_normal(7),
-                      RNG.standard_normal(5), RNG.standard_normal(7))
+    m = (make_rank_one(RNG.standard_normal(5), RNG.standard_normal(7))
+         + make_rank_one(RNG.standard_normal(5), RNG.standard_normal(7)))
     s = np.linalg.svd(m, compute_uv=False)
     assert s[2] < 1e-10 * s[0]
 
@@ -103,8 +102,8 @@ def test_membership_null_and_separated_entry():
 
 
 def test_membership_strong_plus_weak():
-    m = make_rank_two(np.full(8, 1.0), np.ones(8), np.r_[0.1, np.zeros(7)],
-                      np.r_[0.1, np.zeros(7)])
+    m = (make_rank_one(np.full(8, 1.0), np.ones(8))
+         + make_rank_one(np.r_[0.1, np.zeros(7)], np.r_[0.1, np.zeros(7)]))
     s = np.linalg.svd(m, compute_uv=False)
     spec = SpaceSpec(kind="strong_plus_weak", kappa=1.1, tau1=s[0], tau2=s[1] + 1e-9)
     assert check_membership(m, spec)

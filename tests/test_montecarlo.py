@@ -17,9 +17,16 @@ from weakfactor.montecarlo import (
 )
 
 
+BUILT = []  # grid points the "_test_trivial" generator was called with
+PROCEDURE_CALLS = []  # data the "_test_recorded" procedure was called with
+
+
 @register_generator("_test_trivial")
-def _gen_trivial(grid_point, params, rng):
-    return 0.0, rng.standard_normal(3)
+def _gen_trivial(grid_point, params):
+    if grid_point.get("unbuildable"):
+        raise ValueError("no instance at this grid point")
+    BUILT.append(grid_point)
+    return 0.0, lambda rng: rng.standard_normal(3)
 
 
 @register_procedure("_test_trivial_interval")
@@ -31,6 +38,20 @@ def _proc_trivial(data, grid_point, params):
 @register_procedure("_test_noisy_point")
 def _proc_noisy(data, grid_point, params):
     return {"estimate": float(np.mean(data))}
+
+
+@register_procedure("_test_recorded")
+def _proc_recorded(data, grid_point, params):
+    PROCEDURE_CALLS.append(data)
+    return {"estimate": 0.0}
+
+
+@register_procedure("_test_non_finite")
+def _proc_non_finite(data, grid_point, params):
+    result = {"estimate": 0.0, "lower": -1.0, "upper": 1.0}
+    if data[0] > params["cutoff"]:
+        result[params["field"]] = params["value"]
+    return result
 
 
 @register_procedure("_test_flaky")
@@ -96,6 +117,43 @@ def test_error_tag_contents():
     assert len(tagged) <= 5  # within the 10% budget
     assert all("RuntimeError" in r.error_tag for r in tagged)
     assert all(r.estimate is None for r in tagged)
+
+
+@pytest.mark.parametrize("field", ["estimate", "lower", "upper"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_result_is_an_error_row(field, value):
+    params = {"cutoff": 1.8, "field": field, "value": value}
+    table = run_experiment(_spec(procedure="_test_non_finite", replications=50,
+                                 procedure_params=params))
+    tagged = [r for r in table.rows if r.error_tag]
+    assert tagged, "expected at least one non-finite result"
+    assert all(r.error_tag.startswith(f"FloatingPointError: non-finite {field}")
+               for r in tagged)
+    assert all(r.estimate is None and r.covered is None for r in tagged)
+    assert table.summaries[0].n_error == len(tagged)
+    assert table.summaries[0].coverage == 1.0  # the finite rows all cover
+    # Every replication non-finite: the error budget trips.
+    with pytest.raises(ExperimentError):
+        run_experiment(_spec(procedure="_test_non_finite", replications=5,
+                             procedure_params=dict(params, cutoff=-math.inf)))
+
+
+def test_generator_called_once_per_grid_point():
+    grid = ({"n": 3, "T": 3}, {"n": 4, "T": 3}, {"n": 5, "T": 3})
+    BUILT.clear()
+    table = run_experiment(_spec(procedure="_test_noisy_point", replications=7,
+                                 grid=grid), workers=2)
+    assert BUILT == list(grid)
+    assert len(table.rows) == 21
+
+
+def test_unbuildable_grid_point_raises_before_any_replication():
+    grid = ({"n": 3, "T": 3}, {"n": 3, "T": 3, "unbuildable": True})
+    PROCEDURE_CALLS.clear()
+    with pytest.raises(ExperimentError, match="grid point 1 .* cannot be built: "
+                       "ValueError: no instance at this grid point"):
+        run_experiment(_spec(procedure="_test_recorded", grid=grid), workers=2)
+    assert PROCEDURE_CALLS == []
 
 
 def test_rate_slope_exact_cases():
