@@ -182,13 +182,20 @@ def resolve_config(args: argparse.Namespace) -> dict:
             continue
         cfg[key] = value
 
-    if cfg["reps"] < 1:
-        raise ValueError(f"reps must be >= 1, got {cfg['reps']}")
+    # The oracle checks report Monte Carlo standard errors, which need two draws.
+    min_reps = 2 if sub == "oracle-check" else 1
+    if cfg["reps"] < min_reps:
+        raise ValueError(f"reps must be >= {min_reps}, got {cfg['reps']}")
     for key in ("n", "T"):
         if cfg[key] is not None and cfg[key] < 2:
             raise ValueError(f"{key} must be >= 2, got {cfg[key]}")
+    for key in ("kappa", "kappa2", "c0"):
+        if key in cfg and not cfg[key] > 0:
+            raise ValueError(f"{key} must be > 0, got {cfg[key]}")
     if cfg["threads"] is None:
         cfg["threads"] = int(os.environ.get("WEAKFACTOR_THREADS", "1"))
+    if cfg["threads"] < 1:
+        raise ValueError(f"threads must be >= 1, got {cfg['threads']}")
     cfg["subcommand"] = sub
     cfg["library_version"] = __version__
     return cfg

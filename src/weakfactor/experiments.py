@@ -516,6 +516,8 @@ def oracle_checks(
     empirical second moment of the likelihood ratio, and the total-variation
     upper bound against the empirical mean absolute deviation of the ratio.
     """
+    if reps < 2:
+        raise ValueError(f"reps must be >= 2 for Monte Carlo standard errors, got {reps}")
     results: dict = {"reps": reps, "seed": seed, "n": n, "T": t}
 
     # KL of the panel shift pair at c = 1 is 1/2 in closed form.  Simulate

@@ -2,11 +2,17 @@
 
 Everything here operates on plain 2-D numpy arrays of floats.  These are the
 building blocks for the factor-model estimators; all functions are pure and
-none mutate their inputs.
+none mutate their inputs.  :func:`single_blas_thread` caps numpy's bundled
+OpenBLAS at one thread while replications run in parallel.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +28,7 @@ __all__ = [
     "zero_entry_11",
     "trace_product",
     "numerical_rank",
+    "single_blas_thread",
 ]
 
 # Singular values below max(n, T) * sigma_1 * PINV_RTOL are treated as zero
@@ -57,6 +64,47 @@ def _orient_columns(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
             u[:, j] = -u[:, j]
             v[:, j] = -v[:, j]
     return u, v
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the bundled OpenBLAS thread count, or None without one.
+
+    Looked up on first use, not at import.  numpy wheels ship OpenBLAS in
+    numpy.libs; ctypes.CDLL returns the copy numpy has already loaded.
+    """
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in sorted(glob.glob(pattern)):
+        lib = ctypes.CDLL(path)
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the body with numpy's bundled OpenBLAS on one thread.
+
+    The previous thread count is restored on exit.  Without a bundled
+    OpenBLAS (numpy built against another BLAS) nothing changes.  The count
+    is process-wide, so the body's worker threads run on one BLAS thread each
+    instead of competing with BLAS threads for the cores.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 def svd_truncated(a, k: int) -> SvdResult:

@@ -12,12 +12,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
+from .linalg import single_blas_thread
 from .model import replication_rng
 
 __all__ = [
@@ -205,27 +207,32 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     """Run all replications; deterministic output regardless of worker count.
 
     Each grid point is built once, before any replication runs; one that
-    cannot be built raises :class:`ExperimentError`.
+    cannot be built raises :class:`ExperimentError`.  Builds and
+    replications run on one BLAS thread (:func:`linalg.single_blas_thread`)
+    at every worker count, and `workers` is clamped to the number of cells
+    and of cores, so workers never compete with BLAS threads for the cores.
     """
     gen = get_generator(spec.generator)
     proc = get_procedure(spec.procedure)
-    points = []
-    for gi, grid_point in enumerate(spec.grid):
-        try:
-            points.append(gen(grid_point, spec.generator_params))
-        except Exception as exc:
-            raise ExperimentError(f"{spec.name}: grid point {gi} {grid_point} "
-                                  f"cannot be built: {type(exc).__name__}: {exc}") from exc
     cells = [
         (gi, rep)
         for gi in range(len(spec.grid))
         for rep in range(spec.replications)
     ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda c: _run_cell(spec, proc, points, *c), cells))
-    else:
-        records = [_run_cell(spec, proc, points, gi, rep) for gi, rep in cells]
+    workers = min(workers, len(cells), os.cpu_count() or 1)
+    with single_blas_thread():
+        points = []
+        for gi, grid_point in enumerate(spec.grid):
+            try:
+                points.append(gen(grid_point, spec.generator_params))
+            except Exception as exc:
+                raise ExperimentError(f"{spec.name}: grid point {gi} {grid_point} "
+                                      f"cannot be built: {type(exc).__name__}: {exc}") from exc
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                records = list(pool.map(lambda c: _run_cell(spec, proc, points, *c), cells))
+        else:
+            records = [_run_cell(spec, proc, points, gi, rep) for gi, rep in cells]
 
     summaries = []
     for gi in range(len(spec.grid)):

@@ -172,10 +172,13 @@ def ci_star(x, y, kappa2: float) -> Interval:
 
     Half-width 1.96 (nT)^{-1/2} (1 + kappa2^2)^{-1/2}; valid only when the
     fixed effects are strong, orthogonal to a strong regressor structure with
-    ||D||_F >= kappa2 sqrt(nT).
+    ||D||_F >= kappa2 sqrt(nT).  Raises RuntimeError if the least-squares
+    fit has not converged.
     """
     x = np.asarray(x, dtype=float)
     n, t = x.shape
-    beta_ls, _, _ = ls_estimator(x, y, rank=2)
+    beta_ls, _, converged = ls_estimator(x, y, rank=2)
+    if not converged:
+        raise RuntimeError("ls_estimator did not converge")
     half = 1.96 / math.sqrt(n * t) / math.sqrt(1.0 + kappa2**2)
     return Interval(beta_ls - half, beta_ls + half)

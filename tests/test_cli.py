@@ -68,9 +68,27 @@ def test_config_file_missing_and_bad_key(tmp_path):
     assert run_cli(["entrywise-rate", "--config", str(bad)]) == 2
 
 
-@pytest.mark.parametrize("flags", [["--reps", "0"], ["--n", "1"], ["--T", "1"]])
-def test_invalid_size_exit_code(flags, capsys):
-    assert run_cli(["entrywise-rate", *flags]) == 2
+# Each case is (argv, environment variables).
+@pytest.mark.parametrize("flags", [
+    (["entrywise-rate", "--reps", "0"], {}),
+    (["entrywise-rate", "--n", "1"], {}),
+    (["entrywise-rate", "--T", "1"], {}),
+    (["entrywise-rate", "--threads", "0"], {}),
+    (["entrywise-rate", "--threads", "-4"], {}),
+    (["entrywise-rate", "--config", "threads0.ini"], {}),
+    (["entrywise-rate"], {"WEAKFACTOR_THREADS": "0"}),
+    (["oracle-check", "--reps", "1"], {}),
+    (["entrywise-coverage", "--kappa", "-1"], {}),
+    (["panel-tradeoff", "--kappa2", "0"], {}),
+    (["entrywise-coverage", "--C0", "0"], {}),
+])
+def test_invalid_size_exit_code(flags, tmp_path, monkeypatch, capsys):
+    argv, env = flags
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "threads0.ini").write_text("[common]\nthreads = 0\n")
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert run_cli(argv) == 2
     assert "error:" in capsys.readouterr().err
 
 

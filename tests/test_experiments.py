@@ -177,6 +177,11 @@ def test_lr_power_check_small():
     assert abs(result["size"] - 0.05) < 0.05
 
 
+def test_oracle_checks_rejects_one_rep():
+    with pytest.raises(ValueError, match="reps must be >= 2"):
+        ex.oracle_checks(reps=1)
+
+
 def test_noise_norm_check_small():
     result = ex.noise_norm_check(n=30, t=30, reps=30, seed=9)
     assert 0.0 <= result["frequency"] <= 1.0

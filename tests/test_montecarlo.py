@@ -1,10 +1,12 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from weakfactor import linalg, montecarlo
 from weakfactor.montecarlo import (
     ExperimentError,
     ExperimentSpec,
@@ -19,6 +21,7 @@ from weakfactor.montecarlo import (
 
 BUILT = []  # grid points the "_test_trivial" generator was called with
 PROCEDURE_CALLS = []  # data the "_test_recorded" procedure was called with
+BLAS_THREADS_SEEN = []  # OpenBLAS thread counts the "_test_blas_threads" procedure saw
 
 
 @register_generator("_test_trivial")
@@ -43,6 +46,13 @@ def _proc_noisy(data, grid_point, params):
 @register_procedure("_test_recorded")
 def _proc_recorded(data, grid_point, params):
     PROCEDURE_CALLS.append(data)
+    return {"estimate": 0.0}
+
+
+@register_procedure("_test_blas_threads")
+def _proc_blas_threads(data, grid_point, params):
+    get, _ = linalg._openblas_threads()
+    BLAS_THREADS_SEEN.append(get())
     return {"estimate": 0.0}
 
 
@@ -154,6 +164,58 @@ def test_unbuildable_grid_point_raises_before_any_replication():
                        "ValueError: no instance at this grid point"):
         run_experiment(_spec(procedure="_test_recorded", grid=grid), workers=2)
     assert PROCEDURE_CALLS == []
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Set the bundled OpenBLAS to 2 threads; restore its count afterwards."""
+    threads = linalg._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    get, set_ = threads
+    previous = get()
+    set_(2)
+    try:
+        yield get
+    finally:
+        set_(previous)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_replications_run_on_one_blas_thread(workers, two_blas_threads):
+    BLAS_THREADS_SEEN.clear()
+    run_experiment(_spec(procedure="_test_blas_threads", replications=6,
+                         grid=({"n": 3, "T": 3}, {"n": 4, "T": 3})), workers=workers)
+    assert BLAS_THREADS_SEEN == [1] * 12
+    assert two_blas_threads() == 2
+
+
+def test_blas_threads_restored_after_experiment_error(two_blas_threads):
+    with pytest.raises(ExperimentError):
+        run_experiment(_spec(grid=({"n": 3, "T": 3, "unbuildable": True},)), workers=2)
+    assert two_blas_threads() == 2
+
+
+@pytest.mark.parametrize("requested, cpus, reps, expected", [
+    (8, 16, 4, 4),      # more workers than cells
+    (64, 3, 10, 3),     # more workers than cores
+    (64, None, 10, None),  # core count unknown: one worker, no pool
+    (2, 16, 10, 2),     # within both limits
+])
+def test_worker_count_clamped_to_cells_and_cores(requested, cpus, reps, expected, monkeypatch):
+    started = []
+
+    class RecordingExecutor(montecarlo.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    spec = _spec(procedure="_test_noisy_point", replications=reps)
+    table = run_experiment(spec, workers=requested)
+    assert started == ([] if expected is None else [expected])
+    assert table.rows == run_experiment(spec).rows
 
 
 def test_rate_slope_exact_cases():

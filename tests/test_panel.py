@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from weakfactor import panel
 from weakfactor.experiments import panel_means
 from weakfactor.linalg import projector
 from weakfactor.model import PanelInstance, make_rank_one, replication_rng, sample_panel
@@ -160,3 +161,10 @@ def test_ci_star_exact_widths():
     y = RNG.standard_normal((100, 100))
     width = ci_star(x, y, kappa2=10.0).width
     assert width == pytest.approx(3.92 / (100 * math.sqrt(101)), rel=1e-12)
+
+
+def test_ci_star_rejects_unconverged_fit(monkeypatch):
+    x = y = np.ones((10, 10))
+    monkeypatch.setattr(panel, "ls_estimator", lambda x, y, rank: (0.0, None, False))
+    with pytest.raises(RuntimeError, match="did not converge"):
+        ci_star(x, y, kappa2=10.0)
