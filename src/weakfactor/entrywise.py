@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .linalg import spectral_norm, svd_truncated, zero_entry_11
+from .linalg import SvdResult, spectral_norm, svd_truncated, zero_entry_11
 from .model import DEFAULT_SEED, FactorInstance, replication_rng, sample_observation
 
 __all__ = [
@@ -52,6 +52,8 @@ class Interval:
     upper: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ValueError(f"non-finite interval bound: lower={self.lower}, upper={self.upper}")
         if self.lower > self.upper:
             raise ValueError(f"lower={self.lower} > upper={self.upper}")
 
@@ -147,8 +149,29 @@ def estimate_noise_variance(x, k_bar: int) -> float:
     n, t = x.shape
     if k_bar < 0 or k_bar > min(n, t) - 1:
         raise ValueError(f"k_bar={k_bar} out of range [0, {min(n, t) - 1}]")
-    s = np.linalg.svd(x, compute_uv=False)
-    return float(np.sum(s[k_bar:] ** 2) / (n * t))
+    if k_bar == 0:
+        return float(np.sum(x * x) / (n * t))
+    return _residual_mean_square(x, svd_truncated(x, k_bar), k_bar)
+
+
+def _residual_mean_square(x: np.ndarray, top: SvdResult, k: int) -> float:
+    # The residual itself, not ||x||_F^2 - sum(s^2), which cancels.
+    u, s, v = top
+    resid = x - (u[:, :k] * s[:k]) @ v[:, :k].T
+    return float(np.sum(resid * resid) / resid.size)
+
+
+def _ratio_khat(lam: np.ndarray, k_max: int) -> int:
+    # The eigenvalue-ratio scan of eigenvalue_ratio_khat over lam[:k_max + 1].
+    floor = 1e-12 * lam[0] if lam[0] > 0 else 0.0
+    best_j, best_ratio = 1, -np.inf
+    for j in range(1, k_max + 1):
+        if lam[j] <= floor:
+            return j
+        ratio = lam[j - 1] / lam[j]
+        if ratio > best_ratio:
+            best_j, best_ratio = j, ratio
+    return best_j
 
 
 def eigenvalue_ratio_khat(x, k_max: int) -> int:
@@ -161,16 +184,7 @@ def eigenvalue_ratio_khat(x, k_max: int) -> int:
     x = np.asarray(x, dtype=float)
     if k_max + 1 > min(x.shape):
         raise ValueError("k_max + 1 exceeds min(n, T)")
-    lam = np.linalg.svd(x, compute_uv=False) ** 2
-    floor = 1e-12 * lam[0] if lam[0] > 0 else 0.0
-    best_j, best_ratio = 1, -np.inf
-    for j in range(1, k_max + 1):
-        if lam[j] <= floor:
-            return j
-        ratio = lam[j - 1] / lam[j]
-        if ratio > best_ratio:
-            best_j, best_ratio = j, ratio
-    return best_j
+    return _ratio_khat(svd_truncated(x, k_max + 1).s ** 2, k_max)
 
 
 def naive_pretest_ci(x, alpha: float = 0.05, k_max: int = 2) -> Interval:
@@ -189,9 +203,9 @@ def naive_pretest_ci(x, alpha: float = 0.05, k_max: int = 2) -> Interval:
     x = np.asarray(x, dtype=float)
     n, t = x.shape
     w = x[:, 1:]
-    khat = eigenvalue_ratio_khat(w, k_max)
-
-    lhat = svd_truncated(w, khat).U      # n x khat, orthonormal
+    top = svd_truncated(w, k_max + 1)    # one decomposition for every step
+    khat = _ratio_khat(top.s**2, k_max)
+    lhat = top.U[:, :khat]               # n x khat, orthonormal
     # Column-1 factor score by least squares on the observed rows 2..n.
     l_rest = lhat[1:, :]
     gram = l_rest.T @ l_rest
@@ -210,7 +224,7 @@ def naive_pretest_ci(x, alpha: float = 0.05, k_max: int = 2) -> Interval:
         h_col = float(f1 @ np.linalg.solve(score_cov, f1)) / t
     except np.linalg.LinAlgError as exc:
         raise DegenerateLoadingError("singular score covariance") from exc
-    sigma2 = estimate_noise_variance(w, khat)
+    sigma2 = _residual_mean_square(w, top, khat)
     se = math.sqrt(max(sigma2 * (h_row + h_col), 0.0))
     z = stats.norm.ppf(1.0 - alpha / 2.0)
     return Interval(value - z * se, value + z * se)

@@ -35,6 +35,7 @@ from .entrywise import (
     estimate_m11,
     naive_pretest_ci,
 )
+from .linalg import spectral_norm
 from .model import (
     DEFAULT_SEED,
     FactorInstance,
@@ -495,7 +496,7 @@ def noise_norm_check(
     for r in range(reps):
         rng = replication_rng(seed, 0, r)
         eps = rng.standard_normal((n, t))
-        hits += np.linalg.svd(eps, compute_uv=False)[0] <= bound
+        hits += spectral_norm(eps) <= bound
     return {
         "n": n, "T": t, "factor": factor, "reps": reps, "seed": seed,
         "bound": bound, "frequency": hits / reps,

@@ -2,7 +2,17 @@
 
 Everything here operates on plain 2-D numpy arrays of floats.  These are the
 building blocks for the factor-model estimators; all functions are pure and
-none mutate their inputs.  :func:`single_blas_thread` caps numpy's bundled
+none mutate their inputs.
+
+The estimators need only their leading k <= 4 singular triplets, so
+:func:`svd_truncated` and :func:`spectral_norm` solve the symmetric
+eigenproblem of the Gram matrix of the shorter side instead of a full SVD,
+and :func:`svd_truncated` recovers the triplets with one small k x T SVD
+(a Rayleigh-Ritz step).  Both call numpy's LAPACK only: scipy ships its own
+OpenBLAS, which :func:`single_blas_thread` does not cap, and alternating the
+two thread pools stalls the cores.  The rank and projector checks keep the
+full SVD, because their 1e-8 relative cutoff lies below the sqrt(eps) that
+Gram eigenvalues resolve.  :func:`single_blas_thread` caps numpy's bundled
 OpenBLAS at one thread while replications run in parallel.
 """
 
@@ -107,8 +117,27 @@ def single_blas_thread():
         set_(previous)
 
 
+def _scaled_gram(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(b b', e) with b = a 2**-e, e the frexp exponent of max|a|.
+
+    The largest entry of b lies in [1/2, 1), so the Gram matrix neither
+    overflows nor underflows whatever the scale of `a`; its eigenvalues are
+    those of a a' times 4**-e.  Scaled with ldexp rather than by 2.0**-e,
+    which overflows when max|a| is subnormal.
+    """
+    e = int(np.frexp(np.max(np.abs(a)))[1])
+    b = np.ldexp(a, -e)
+    return b @ b.T, e
+
+
 def svd_truncated(a, k: int) -> SvdResult:
-    """Best rank-k factors of `a` via a full dense SVD.
+    """Best rank-k factors of `a` from the Gram eigenproblem.
+
+    The top-k eigenvectors Q of the Gram matrix of the shorter side span the
+    leading singular subspace; the SVD of the k x T matrix Q'a then gives s,
+    V and U = Q U_b.  That step works on the unscaled `a`, so V is orthonormal
+    to machine precision and s does not inherit the squared condition number
+    of the Gram matrix.
 
     Returns orthonormal U, V and nonincreasing singular values.  k may equal
     min(n, T), in which case the full decomposition is returned.
@@ -117,9 +146,16 @@ def svd_truncated(a, k: int) -> SvdResult:
     kmax = min(a.shape)
     if not 1 <= k <= kmax:
         raise ValueError(f"k={k} out of range [1, {kmax}]")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    u, v = _orient_columns(u[:, :k], vt[:k].T)
-    return SvdResult(U=u, s=s[:k], V=v)
+    tall = a.shape[0] > a.shape[1]
+    if tall:
+        a = a.T
+    q = np.linalg.eigh(_scaled_gram(a)[0])[1][:, -k:]
+    ub, s, vt = np.linalg.svd(q.T @ a, full_matrices=False)
+    u, v = q @ ub, vt.T
+    if tall:
+        u, v = v, u
+    u, v = _orient_columns(u, v)
+    return SvdResult(U=u, s=s, V=v)
 
 
 def projector(a) -> np.ndarray:
@@ -146,11 +182,14 @@ def annihilator(a) -> np.ndarray:
 
 
 def spectral_norm(a) -> float:
-    """Largest singular value."""
+    """Largest singular value: the root of the largest Gram eigenvalue."""
     a = _as_matrix(a)
     if a.size == 0 or not a.any():
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    if a.shape[0] > a.shape[1]:
+        a = a.T
+    gram, e = _scaled_gram(a)
+    return float(np.ldexp(np.sqrt(np.linalg.eigvalsh(gram)[-1]), e))
 
 
 def frobenius_norm(a) -> float:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from weakfactor.entrywise import (
     DEFAULT_C0,
@@ -41,6 +42,9 @@ def test_interval_basics():
     assert iv.contains(0.0) and not iv.contains(2.5)
     with pytest.raises(ValueError):
         Interval(1.0, 0.0)
+    for bounds in [(math.nan, math.nan), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf)]:
+        with pytest.raises(ValueError):
+            Interval(*bounds)
 
 
 def test_estimate_m11_noiseless_exact():
@@ -198,6 +202,46 @@ def test_naive_pretest_ci_nominal_coverage_strong_factor():
         iv = naive_pretest_ci(x)
         covered += iv.contains(inst.mean[0, 0])
     assert covered / 500 >= 0.90
+
+
+def _naive_pretest_reference(x, alpha=0.05, k_max=2):
+    # The pipeline that decomposes the submatrix three times with full SVDs:
+    # ratio rule, loadings, and noise variance from the tail singular values.
+    n, t = x.shape
+    w = x[:, 1:]
+    lam = np.linalg.svd(w, compute_uv=False) ** 2
+    khat, best = 1, -np.inf
+    for j in range(1, k_max + 1):
+        if lam[j] <= 1e-12 * lam[0]:
+            khat = j
+            break
+        if lam[j - 1] / lam[j] > best:
+            khat, best = j, lam[j - 1] / lam[j]
+    lhat = np.linalg.svd(w, full_matrices=False)[0][:, :khat]
+    l_rest = lhat[1:, :]
+    f1 = np.linalg.solve(l_rest.T @ l_rest, l_rest.T @ x[1:, 0])
+    value = float(lhat[0, :] @ f1)
+    scores = w.T @ lhat
+    h_col = float(f1 @ np.linalg.solve(scores.T @ scores / t, f1)) / t
+    sigma2 = np.sum(lam[khat:]) / w.size
+    se = math.sqrt(sigma2 * (float(lhat[0, :] @ lhat[0, :]) + h_col))
+    z = stats.norm.ppf(1.0 - alpha / 2.0)
+    return value - z * se, value + z * se
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_naive_pretest_ci_matches_full_svd_pipeline(seed):
+    n = t = 60
+    l2 = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    f2 = np.where(np.arange(t) % 2 == 0, 1.0, -1.0)
+    # One strong factor plus a second whose strength varies with the seed, so
+    # that both one and two factors are detected across seeds.
+    m = make_rank_one(np.full(n, 0.9), np.ones(t)) + make_rank_one(0.3 * seed * l2, f2)
+    x = sample_observation(FactorInstance(m, kappa=2.0), replication_rng(105, 0, seed))
+    iv = naive_pretest_ci(x)
+    lower, upper = _naive_pretest_reference(x)
+    assert iv.lower == pytest.approx(lower, abs=1e-12)
+    assert iv.upper == pytest.approx(upper, abs=1e-12)
 
 
 def test_naive_pretest_ci_validation():

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from weakfactor.entrywise import spectral_threshold
+
 from weakfactor.linalg import (
     annihilator,
     frobenius_norm,
@@ -26,15 +28,45 @@ small_matrices = arrays(
 )
 
 
-def test_svd_truncated_matches_full_svd():
-    a = RNG.standard_normal((8, 5))
-    u, s, v = svd_truncated(a, 3)
-    su = np.linalg.svd(a, compute_uv=False)
-    assert np.allclose(s, su[:3])
-    # Best rank-3 approximation agrees with the full-SVD oracle.
+def _spectral_case(shape, tau, scale, rng):
+    # tau times a random unit rank-one matrix plus standard noise, times scale.
+    l = rng.standard_normal(shape[0])
+    f = rng.standard_normal(shape[1])
+    signal = tau * np.outer(l / np.linalg.norm(l), f / np.linalg.norm(f))
+    return (signal + rng.standard_normal(shape)) * scale
+
+
+def _spectral_cases():
+    # Wide, tall and square shapes, no signal and a signal at the detection
+    # threshold at n=T=100, and scales whose Gram matrix would overflow or
+    # underflow unscaled; one more case has a subnormal largest entry.
+    rng = np.random.default_rng(7)
+    cases = []
+    for n, t in [(8, 5), (5, 8), (100, 99), (100, 100)]:
+        for tau_name, tau in [("0", 0.0), ("thr", spectral_threshold(1.0, 100, 100))]:
+            for scale_name, scale in [("1", 1.0), ("2^-600", 2.0**-600), ("2^600", 2.0**600)]:
+                case_id = f"{n}x{t}-tau{tau_name}-scale{scale_name}"
+                cases.append(pytest.param(_spectral_case((n, t), tau, scale, rng), id=case_id))
+    subnormal = _spectral_case((8, 5), 0.0, 1e-310, rng)
+    assert 0.0 < np.max(np.abs(subnormal)) < np.finfo(float).tiny
+    cases.append(pytest.param(subnormal, id="8x5-subnormal"))
+    return cases
+
+
+SPECTRAL_CASES = _spectral_cases()
+
+
+@pytest.mark.parametrize("a", SPECTRAL_CASES)
+def test_svd_truncated_matches_full_svd(a):
     uf, sf, vft = np.linalg.svd(a, full_matrices=False)
-    oracle = (uf[:, :3] * sf[:3]) @ vft[:3]
-    assert np.allclose(u @ (s[:, None] * v.T), oracle, atol=1e-10)
+    for k in range(1, min(4, *a.shape) + 1):
+        u, s, v = svd_truncated(a, k)
+        assert np.max(np.abs(s - sf[:k])) <= 1e-12 * sf[0]
+        # Best rank-k approximation agrees with the full-SVD oracle.
+        oracle = (uf[:, :k] * sf[:k]) @ vft[:k]
+        assert np.max(np.abs((u * s) @ v.T - oracle)) <= 1e-12 * sf[0]
+        assert np.max(np.abs(u.T @ u - np.eye(k))) <= 1e-12
+        assert np.max(np.abs(v.T @ v - np.eye(k))) <= 1e-12
 
 
 def test_svd_truncated_orthonormal_and_deterministic_sign():
@@ -93,6 +125,9 @@ def test_norms_against_numpy():
     assert spectral_norm(a) == pytest.approx(s[0], rel=1e-12)
     assert frobenius_norm(a) == pytest.approx(np.sqrt(np.sum(a * a)), rel=1e-12)
     assert max_abs_entry(a) == np.max(np.abs(a))
+    for case in SPECTRAL_CASES:
+        b = case.values[0]
+        assert spectral_norm(b) == pytest.approx(np.linalg.norm(b, 2), rel=1e-12)
 
 
 def test_spectral_norm_power_iteration_oracle():
