@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .linalg import SvdResult, spectral_norm, svd_truncated, zero_entry_11
+from .linalg import SvdResult, single_blas_thread, spectral_norm, svd_truncated, zero_entry_11
 from .model import DEFAULT_SEED, FactorInstance, replication_rng, sample_observation
 
 __all__ = [
@@ -230,6 +230,7 @@ def naive_pretest_ci(x, alpha: float = 0.05, k_max: int = 2) -> Interval:
     return Interval(value - z * se, value + z * se)
 
 
+@single_blas_thread()
 def calibrate_c0(
     n: int,
     t: int,
@@ -245,7 +246,10 @@ def calibrate_c0(
     sampled `reps` times; each non-truncated replication yields the smallest
     c0 that would have covered the truth, and the calibrated value is the
     largest (1 - alpha) quantile of those requirements across the grid.
+    Runs on one BLAS thread.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     required = 0.0
     sqrt_nt = math.sqrt(n + t)
     for gi, tau in enumerate(tau_grid):

@@ -9,7 +9,9 @@ pre-test negative control, panel rates, and the panel coverage tradeoff).
 
 Standalone checks that do not fit the one-estimate-per-replication shape
 (likelihood-ratio power, noise-norm concentration, the information-theory
-oracle cross-checks) live here as plain functions.
+oracle cross-checks) live here as plain functions.  Like the replications
+of :func:`~weakfactor.montecarlo.run_experiment`, each runs on one BLAS
+thread.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .entrywise import (
     estimate_m11,
     naive_pretest_ci,
 )
-from .linalg import spectral_norm
+from .linalg import single_blas_thread, spectral_norm
 from .model import (
     DEFAULT_SEED,
     FactorInstance,
@@ -436,6 +438,7 @@ def panel_tradeoff_spec(
 # Standalone checks.
 
 
+@single_blas_thread()
 def lr_power_check(
     n: int = 100,
     t: int = 100,
@@ -452,6 +455,8 @@ def lr_power_check(
     size up to Monte Carlo error.  At the two-point construction the power
     cannot exceed 2 alpha plus statistical slack.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     if tau is None:
         tau = kappa * math.sqrt(n * t) / 12.0
     pair = rank_one_testing_pair(n, t, tau, kappa, alpha)
@@ -483,6 +488,7 @@ def lr_power_check(
     }
 
 
+@single_blas_thread()
 def noise_norm_check(
     n: int = 100,
     t: int = 100,
@@ -491,6 +497,8 @@ def noise_norm_check(
     seed: int = DEFAULT_SEED,
 ) -> dict:
     """Frequency of ||noise|| <= factor * sqrt(n + T) for iid Gaussian noise."""
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     bound = factor * math.sqrt(n + t)
     hits = 0
     for r in range(reps):
@@ -503,6 +511,7 @@ def noise_norm_check(
     }
 
 
+@single_blas_thread()
 def oracle_checks(
     reps: int = 100_000,
     seed: int = DEFAULT_SEED,

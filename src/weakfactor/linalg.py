@@ -5,15 +5,18 @@ building blocks for the factor-model estimators; all functions are pure and
 none mutate their inputs.
 
 The estimators need only their leading k <= 4 singular triplets, so
-:func:`svd_truncated` and :func:`spectral_norm` solve the symmetric
-eigenproblem of the Gram matrix of the shorter side instead of a full SVD,
-and :func:`svd_truncated` recovers the triplets with one small k x T SVD
-(a Rayleigh-Ritz step).  Both call numpy's LAPACK only: scipy ships its own
-OpenBLAS, which :func:`single_blas_thread` does not cap, and alternating the
-two thread pools stalls the cores.  The rank and projector checks keep the
-full SVD, because their 1e-8 relative cutoff lies below the sqrt(eps) that
-Gram eigenvalues resolve.  :func:`single_blas_thread` caps numpy's bundled
-OpenBLAS at one thread while replications run in parallel.
+:func:`svd_truncated` and :func:`spectral_norm` take the top k eigenpairs of
+the Gram matrix of the shorter side from LAPACK's subset eigensolver
+(``scipy.linalg.eigh`` with ``subset_by_index``) instead of a full SVD, and
+:func:`svd_truncated` recovers the triplets with one small k x T SVD (a
+Rayleigh-Ritz step).  The rank and projector checks keep the full SVD,
+because their 1e-8 relative cutoff lies below the sqrt(eps) that Gram
+eigenvalues resolve.
+
+numpy and scipy each bundle their own OpenBLAS with its own thread pool.
+:func:`single_blas_thread` caps both at one thread; replications run under
+it in parallel, and the two top-k kernels cap themselves, so that the pools
+never compete for the cores whoever calls them.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import os
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "SvdResult",
@@ -78,43 +82,49 @@ def _orient_columns(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 @functools.cache
 def _openblas_threads():
-    """(get, set) of the bundled OpenBLAS thread count, or None without one.
+    """(get, set) of the thread count of each bundled OpenBLAS, or ().
 
     Looked up on first use, not at import.  numpy wheels ship OpenBLAS in
-    numpy.libs; ctypes.CDLL returns the copy numpy has already loaded.
+    numpy.libs with 64-bit-integer symbols, scipy wheels their own in
+    scipy.libs with plain ones; ctypes.CDLL returns the copy each has already
+    loaded.  A package built against another BLAS contributes no pair.
     """
-    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
-    for path in sorted(glob.glob(pattern)):
-        lib = ctypes.CDLL(path)
-        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-        if get is not None and set_ is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
+    pools = []
+    for package, suffix in ((np, "64_"), (scipy, "")):
+        libs = f"{package.__name__}.libs"
+        pattern = os.path.join(os.path.dirname(package.__file__), os.pardir, libs, "*openblas*")
+        for path in sorted(glob.glob(pattern)):
+            lib = ctypes.CDLL(path)
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                pools.append((get, set_))
+                break
+    return tuple(pools)
 
 
 @contextlib.contextmanager
 def single_blas_thread():
-    """Run the body with numpy's bundled OpenBLAS on one thread.
+    """Run the body with every bundled OpenBLAS on one thread.
 
-    The previous thread count is restored on exit.  Without a bundled
-    OpenBLAS (numpy built against another BLAS) nothing changes.  The count
-    is process-wide, so the body's worker threads run on one BLAS thread each
-    instead of competing with BLAS threads for the cores.
+    Each pool's previous thread count is restored on exit, so a nested use
+    changes nothing.  Without a bundled OpenBLAS nothing changes.  The counts
+    are process-wide, so the body's worker threads run on one BLAS thread
+    each instead of competing with BLAS threads for the cores.  Threads that
+    enter it concurrently without an enclosing use may restore each other's
+    counts out of order; start them inside one use, as run_experiment does.
     """
-    threads = _openblas_threads()
-    if threads is None:
-        yield
-        return
-    get, set_ = threads
-    previous = get()
-    set_(1)
+    pools = _openblas_threads()
+    previous = [get() for get, _ in pools]
+    for _, set_ in pools:
+        set_(1)
     try:
         yield
     finally:
-        set_(previous)
+        for (_, set_), count in zip(pools, previous):
+            set_(count)
 
 
 def _scaled_gram(a: np.ndarray) -> tuple[np.ndarray, int]:
@@ -133,11 +143,12 @@ def _scaled_gram(a: np.ndarray) -> tuple[np.ndarray, int]:
 def svd_truncated(a, k: int) -> SvdResult:
     """Best rank-k factors of `a` from the Gram eigenproblem.
 
-    The top-k eigenvectors Q of the Gram matrix of the shorter side span the
-    leading singular subspace; the SVD of the k x T matrix Q'a then gives s,
-    V and U = Q U_b.  That step works on the unscaled `a`, so V is orthonormal
-    to machine precision and s does not inherit the squared condition number
-    of the Gram matrix.
+    The top-k eigenvectors Q of the Gram matrix of the shorter side, from
+    the subset eigensolver on one BLAS thread, span the leading singular
+    subspace; the SVD of the k x T matrix Q'a then gives s, V and U = Q U_b.
+    That step works on the unscaled `a`, so V is orthonormal to machine
+    precision and s does not inherit the squared condition number of the
+    Gram matrix.
 
     Returns orthonormal U, V and nonincreasing singular values.  k may equal
     min(n, T), in which case the full decomposition is returned.
@@ -149,8 +160,12 @@ def svd_truncated(a, k: int) -> SvdResult:
     tall = a.shape[0] > a.shape[1]
     if tall:
         a = a.T
-    q = np.linalg.eigh(_scaled_gram(a)[0])[1][:, -k:]
-    ub, s, vt = np.linalg.svd(q.T @ a, full_matrices=False)
+    m = a.shape[0]
+    with single_blas_thread():
+        # check_finite=False: _as_matrix has rejected non-finite entries.
+        q = scipy.linalg.eigh(_scaled_gram(a)[0], subset_by_index=[m - k, m - 1],
+                              check_finite=False)[1]
+        ub, s, vt = np.linalg.svd(q.T @ a, full_matrices=False)
     u, v = q @ ub, vt.T
     if tall:
         u, v = v, u
@@ -188,8 +203,12 @@ def spectral_norm(a) -> float:
         return 0.0
     if a.shape[0] > a.shape[1]:
         a = a.T
-    gram, e = _scaled_gram(a)
-    return float(np.ldexp(np.sqrt(np.linalg.eigvalsh(gram)[-1]), e))
+    m = a.shape[0]
+    with single_blas_thread():
+        gram, e = _scaled_gram(a)
+        top = scipy.linalg.eigh(gram, eigvals_only=True, subset_by_index=[m - 1, m - 1],
+                                check_finite=False)[0]
+    return float(np.ldexp(np.sqrt(top), e))
 
 
 def frobenius_norm(a) -> float:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from weakfactor.entrywise import (
@@ -60,6 +62,18 @@ def test_estimate_m11_never_reads_missing_entry():
     x2 = x.copy()
     x2[0, 0] = 1e6
     assert estimate_m11(x2) == before  # bitwise identical
+
+
+@given(n=st.integers(4, 12), t=st.integers(4, 12), seed=st.integers(0, 2**32 - 1),
+       missing=st.floats())
+@settings(max_examples=50, deadline=None)
+def test_estimators_never_read_missing_entry_fuzzed(n, t, seed, missing):
+    rng = np.random.default_rng(seed)
+    x = 3.0 * random_rank_one(n, t, rng) + rng.standard_normal((n, t))
+    fuzzed = x.copy()
+    fuzzed[0, 0] = missing  # any float, NaN and infinities included
+    assert estimate_m11(fuzzed) == estimate_m11(x)  # bitwise identical
+    assert naive_pretest_ci(fuzzed) == naive_pretest_ci(x)
 
 
 def test_estimate_m11_loading_sign_invariance():

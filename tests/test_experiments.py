@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from weakfactor import entrywise
 from weakfactor import experiments as ex
 from weakfactor.adversarial import entry_perturbation_pair, panel_shift_pair
 from weakfactor.model import (
@@ -180,6 +181,21 @@ def test_lr_power_check_small():
 def test_oracle_checks_rejects_one_rep():
     with pytest.raises(ValueError, match="reps must be >= 2"):
         ex.oracle_checks(reps=1)
+
+
+@pytest.mark.parametrize("reps", [0, -1])
+@pytest.mark.parametrize("check", [
+    lambda reps: ex.lr_power_check(n=4, t=4, reps=reps),
+    lambda reps: ex.noise_norm_check(n=4, t=4, reps=reps),
+    lambda reps: entrywise.calibrate_c0(4, 4, kappa=1.0, tau_grid=[1.0], reps=reps),
+], ids=["lr_power_check", "noise_norm_check", "calibrate_c0"])
+def test_standalone_checks_reject_reps_below_one(check, reps, monkeypatch):
+    draws = []
+    for module in (ex, entrywise):
+        monkeypatch.setattr(module, "replication_rng", lambda *key: draws.append(key))
+    with pytest.raises(ValueError, match="reps must be >= 1"):
+        check(reps)
+    assert draws == []
 
 
 def test_noise_norm_check_small():

@@ -69,6 +69,24 @@ def test_svd_truncated_matches_full_svd(a):
         assert np.max(np.abs(v.T @ v - np.eye(k))) <= 1e-12
 
 
+@given(n=st.integers(2, 12), t=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       tau=st.floats(0, 20), exponent=st.integers(-600, 600))
+@settings(max_examples=100, deadline=None)
+def test_svd_truncated_matches_full_svd_drawn(n, t, seed, tau, exponent):
+    a = np.ldexp(_spectral_case((n, t), tau, 1.0, np.random.default_rng(seed)), exponent)
+    uf, sf, vft = np.linalg.svd(a, full_matrices=False)
+    for k in range(1, min(n, t) + 1):
+        u, s, v = svd_truncated(a, k)
+        assert np.max(np.abs(s - sf[:k])) <= 1e-12 * sf[0]
+        assert np.max(np.abs(u.T @ u - np.eye(k))) <= 1e-12
+        assert np.max(np.abs(v.T @ v - np.eye(k))) <= 1e-12
+        # The best rank-k approximation is unique, and so comparable with
+        # the oracle, only where sigma_k stands clear of sigma_{k+1}.
+        if k == min(n, t) or sf[k - 1] - sf[k] > 1e-3 * sf[0]:
+            oracle = (uf[:, :k] * sf[:k]) @ vft[:k]
+            assert np.max(np.abs((u * s) @ v.T - oracle)) <= 1e-12 * sf[0]
+
+
 def test_svd_truncated_orthonormal_and_deterministic_sign():
     a = RNG.standard_normal((6, 6))
     u, s, v = svd_truncated(a, 4)

@@ -1,12 +1,14 @@
 import csv
+import glob
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from weakfactor import linalg, montecarlo
+from weakfactor import entrywise, experiments, linalg, montecarlo
 from weakfactor.montecarlo import (
     ExperimentError,
     ExperimentSpec,
@@ -21,7 +23,7 @@ from weakfactor.montecarlo import (
 
 BUILT = []  # grid points the "_test_trivial" generator was called with
 PROCEDURE_CALLS = []  # data the "_test_recorded" procedure was called with
-BLAS_THREADS_SEEN = []  # OpenBLAS thread counts the "_test_blas_threads" procedure saw
+BLAS_THREADS_SEEN = []  # OpenBLAS thread counts, one per pool, the "_test_blas_threads" procedure saw
 
 
 @register_generator("_test_trivial")
@@ -51,8 +53,7 @@ def _proc_recorded(data, grid_point, params):
 
 @register_procedure("_test_blas_threads")
 def _proc_blas_threads(data, grid_point, params):
-    get, _ = linalg._openblas_threads()
-    BLAS_THREADS_SEEN.append(get())
+    BLAS_THREADS_SEEN.append(_pool_threads())
     return {"estimate": 0.0}
 
 
@@ -166,19 +167,33 @@ def test_unbuildable_grid_point_raises_before_any_replication():
     assert PROCEDURE_CALLS == []
 
 
+def _pool_threads():
+    return [get() for get, _ in linalg._openblas_threads()]
+
+
 @pytest.fixture
 def two_blas_threads():
-    """Set the bundled OpenBLAS to 2 threads; restore its count afterwards."""
-    threads = linalg._openblas_threads()
-    if threads is None:
-        pytest.skip("numpy has no bundled OpenBLAS")
-    get, set_ = threads
-    previous = get()
-    set_(2)
+    """Set every bundled OpenBLAS to 2 threads; restore each count afterwards.
+
+    Yields a function that reads the thread count of every pool.
+    """
+    pools = linalg._openblas_threads()
+    if not pools:
+        pytest.skip("neither numpy nor scipy has a bundled OpenBLAS")
+    previous = _pool_threads()
+    for _, set_ in pools:
+        set_(2)
     try:
-        yield get
+        yield _pool_threads
     finally:
-        set_(previous)
+        for (_, set_), count in zip(pools, previous):
+            set_(count)
+
+
+def test_every_bundled_openblas_found():
+    bundled = [package for package in (np, scipy) if glob.glob(os.path.join(
+        os.path.dirname(package.__file__), os.pardir, f"{package.__name__}.libs", "*openblas*"))]
+    assert [len(pool) for pool in linalg._openblas_threads()] == [2] * len(bundled)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -186,14 +201,54 @@ def test_replications_run_on_one_blas_thread(workers, two_blas_threads):
     BLAS_THREADS_SEEN.clear()
     run_experiment(_spec(procedure="_test_blas_threads", replications=6,
                          grid=({"n": 3, "T": 3}, {"n": 4, "T": 3})), workers=workers)
-    assert BLAS_THREADS_SEEN == [1] * 12
-    assert two_blas_threads() == 2
+    pools = len(two_blas_threads())
+    assert BLAS_THREADS_SEEN == [[1] * pools] * 12
+    assert two_blas_threads() == [2] * pools
 
 
 def test_blas_threads_restored_after_experiment_error(two_blas_threads):
     with pytest.raises(ExperimentError):
         run_experiment(_spec(grid=({"n": 3, "T": 3, "unbuildable": True},)), workers=2)
-    assert two_blas_threads() == 2
+    assert two_blas_threads() == [2] * len(two_blas_threads())
+
+
+def test_top_k_kernels_cap_blas_threads(two_blas_threads, monkeypatch):
+    seen = []
+    eigh = scipy.linalg.eigh
+
+    def recording_eigh(*args, **kwargs):
+        seen.append(_pool_threads())
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", recording_eigh)
+    a = np.random.default_rng(3).standard_normal((6, 9))
+    linalg.svd_truncated(a, 2)
+    linalg.svd_truncated(a.T, 2)
+    linalg.spectral_norm(a)
+    pools = len(two_blas_threads())
+    assert seen == [[1] * pools] * 3
+    assert two_blas_threads() == [2] * pools
+
+
+@pytest.mark.parametrize("module, call", [
+    (experiments, lambda: experiments.lr_power_check(n=4, t=4, reps=2)),
+    (experiments, lambda: experiments.noise_norm_check(n=4, t=4, reps=2)),
+    (experiments, lambda: experiments.oracle_checks(reps=2, n=2, t=2)),
+    (entrywise, lambda: entrywise.calibrate_c0(4, 4, kappa=1.0, tau_grid=[1.0], reps=2)),
+], ids=["lr_power_check", "noise_norm_check", "oracle_checks", "calibrate_c0"])
+def test_standalone_checks_run_on_one_blas_thread(module, call, two_blas_threads, monkeypatch):
+    seen = []
+    replication_rng = module.replication_rng
+
+    def recording_rng(*key):
+        seen.append(_pool_threads())
+        return replication_rng(*key)
+
+    monkeypatch.setattr(module, "replication_rng", recording_rng)
+    call()
+    pools = len(two_blas_threads())
+    assert seen and seen == [[1] * pools] * len(seen)
+    assert two_blas_threads() == [2] * pools
 
 
 @pytest.mark.parametrize("requested, cpus, reps, expected", [
