@@ -74,7 +74,7 @@ def rank_one_testing_pair(
     Both means share the loading (kappa/2, c1, ..., c1); the null factor has a
     zero first coordinate while the alternative's is c2, chosen so the
     total-variation distance between the observed-data laws is at most alpha.
-    Requires tau <= kappa sqrt(nT) / 12.  With `transpose` the construction is
+    Requires 0 < tau <= kappa sqrt(nT) / 12.  With `transpose` the construction is
     applied to the transposed dimensions (n and T swap roles).
     """
     if transpose:
@@ -91,6 +91,8 @@ def rank_one_testing_pair(
 
     if n < 2 or t < 2:
         raise ValueError("need n, T >= 2")
+    if not tau > 0:
+        raise ValueError(f"tau must be > 0, got {tau:g}")
     limit = kappa * math.sqrt(n * t) / 12.0
     if tau > limit * (1 + 1e-12):
         raise ValueError(

@@ -189,9 +189,12 @@ def resolve_config(args: argparse.Namespace) -> dict:
     for key in ("n", "T"):
         if cfg[key] is not None and cfg[key] < 2:
             raise ValueError(f"{key} must be >= 2, got {cfg[key]}")
-    for key in ("kappa", "kappa2", "c0"):
-        if key in cfg and not cfg[key] > 0:
+    for key in ("kappa", "kappa2", "c0", "tau", "tau2"):
+        if cfg.get(key) is not None and not cfg[key] > 0:
             raise ValueError(f"{key} must be > 0, got {cfg[key]}")
+    for key, upper in (("eta", 1.0), ("alpha", 1.0), ("c", 4.0)):
+        if key in cfg and not 0 < cfg[key] < upper:
+            raise ValueError(f"{key} must be in (0, {upper:g}), got {cfg[key]}")
     if cfg["threads"] is None:
         cfg["threads"] = int(os.environ.get("WEAKFACTOR_THREADS", "1"))
     if cfg["threads"] < 1:

@@ -7,11 +7,14 @@ none mutate their inputs.
 The estimators need only their leading k <= 4 singular triplets, so
 :func:`svd_truncated` and :func:`spectral_norm` take the top k eigenpairs of
 the Gram matrix of the shorter side from LAPACK's subset eigensolver
-(``scipy.linalg.eigh`` with ``subset_by_index``) instead of a full SVD, and
-:func:`svd_truncated` recovers the triplets with one small k x T SVD (a
-Rayleigh-Ritz step).  The rank and projector checks keep the full SVD,
-because their 1e-8 relative cutoff lies below the sqrt(eps) that Gram
-eigenvalues resolve.
+(``dsyevr``) instead of a full SVD, and :func:`svd_truncated` recovers the
+triplets with one small k x T SVD (a Rayleigh-Ritz step).  The solver is
+scipy's own ``dsyevr``, taken from ``scipy.linalg.cython_lapack`` and called
+through ctypes with the arguments ``scipy.linalg.eigh`` passes it (so with
+bitwise-equal results), but without the GIL: worker threads solve
+concurrently instead of queueing on the interpreter lock.  The rank and
+projector checks keep the full SVD, because their 1e-8 relative cutoff lies
+below the sqrt(eps) that Gram eigenvalues resolve.
 
 numpy and scipy each bundle their own OpenBLAS with its own thread pool.
 :func:`single_blas_thread` caps both at one thread; replications run under
@@ -29,7 +32,7 @@ import os
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.cython_lapack
 
 __all__ = [
     "SvdResult",
@@ -140,6 +143,90 @@ def _scaled_gram(a: np.ndarray) -> tuple[np.ndarray, int]:
     return b @ b.T, e
 
 
+# dsyevr's 21 arguments, each a pointer: c to char, i to int, d to double.
+_DSYEVR_ARGS = "cccididdiididdiidiiii"
+
+
+@functools.cache
+def _dsyevr():
+    """scipy's LAPACK dsyevr as a ctypes function that releases the GIL.
+
+    cython_lapack exports it as a capsule whose name is its C signature; the
+    signature is checked against _DSYEVR_ARGS once, here, so that a scipy
+    built with other integer widths fails loudly instead of corrupting memory.
+    Arrays are passed by address (c_void_p), the cheapest conversion.
+    """
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__["dsyevr"]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    name = get_name(capsule)
+    head, _, args = name.decode().partition("(")
+    args = args.rstrip(")").split(", ")
+    double = args[4] if len(args) > 4 else ""  # cython's typedef name for double
+    expected = [{"c": "char *", "i": "int *", "d": double}[code] for code in _DSYEVR_ARGS]
+    if head.strip() != "void" or args != expected or not double.endswith(" *"):
+        raise RuntimeError(f"unexpected dsyevr signature in scipy.linalg.cython_lapack: {name!r}")
+    argtypes = [ctypes.c_char_p if code == "c" else ctypes.c_void_p for code in _DSYEVR_ARGS]
+    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, name))
+
+
+def _call_dsyevr(jobz, m, a, lo, hi, w, z, ldz, work, lwork, iwork, liwork):
+    # range "I" (il = lo + 1, iu = hi + 1), uplo "L" and abstol 0, as
+    # scipy.linalg.eigh(subset_by_index=[lo, hi]) passes them.  Returns
+    # (number of eigenvalues found, info).
+    c_int, byref = ctypes.c_int, ctypes.byref
+    found, info, zero = c_int(), c_int(), ctypes.c_double(0.0)
+    isuppz = np.empty(2 * (hi - lo + 1), dtype=np.intc)
+    _dsyevr()(
+        jobz, b"I", b"L", byref(c_int(m)), a.ctypes.data, byref(c_int(m)),
+        byref(zero), byref(zero), byref(c_int(lo + 1)), byref(c_int(hi + 1)), byref(zero),
+        byref(found), w.ctypes.data, z.ctypes.data, byref(c_int(ldz)), isuppz.ctypes.data,
+        work.ctypes.data, byref(c_int(lwork)), iwork.ctypes.data, byref(c_int(liwork)),
+        byref(info),
+    )
+    return found.value, info.value
+
+
+@functools.cache
+def _dsyevr_workspace(m: int, jobz: bytes) -> tuple[int, int]:
+    """Optimal (lwork, liwork) of dsyevr at order m, from a workspace query."""
+    work, iwork = np.empty(1), np.empty(1, dtype=np.intc)
+    a, w, z = np.empty((m, m), order="F"), np.empty(m), np.empty((m, 1), order="F")
+    _, info = _call_dsyevr(jobz, m, a, 0, 0, w, z, m, work, -1, iwork, -1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr workspace query failed: info={info}")
+    return int(work[0]), int(iwork[0])
+
+
+def _subset_eigh(gram: np.ndarray, lo: int, hi: int, vectors: bool):
+    """Eigenvalues lo..hi (0-based, ascending) of the symmetric `gram`.
+
+    Returns (w, z): the eigenvalues and, if `vectors`, their eigenvectors as
+    columns (else None).  Bitwise equal to scipy.linalg.eigh(gram,
+    subset_by_index=[lo, hi], check_finite=False), but the solve runs
+    without the GIL.  Reads the lower triangle of a Fortran-order copy; like
+    check_finite=False, it assumes finite entries (_as_matrix checks them).
+    """
+    m = gram.shape[0]
+    if gram.shape != (m, m) or not 0 <= lo <= hi < m:
+        raise ValueError(f"need a square matrix and 0 <= lo <= hi < m, got shape "
+                         f"{gram.shape}, lo={lo}, hi={hi}")
+    count = hi - lo + 1
+    jobz = b"V" if vectors else b"N"
+    lwork, liwork = _dsyevr_workspace(m, jobz)
+    a = np.array(gram, dtype=float, order="F")
+    w = np.empty(m)
+    z = np.empty((m, count) if vectors else (1, 1), order="F")
+    work, iwork = np.empty(lwork), np.empty(liwork, dtype=np.intc)
+    found, info = _call_dsyevr(jobz, m, a, lo, hi, w, z, z.shape[0], work, lwork, iwork, liwork)
+    if info != 0 or found != count:
+        raise np.linalg.LinAlgError(
+            f"dsyevr failed: info={info}, found {found} of {count} eigenvalues")
+    return w[:count], (z if vectors else None)
+
+
 def svd_truncated(a, k: int) -> SvdResult:
     """Best rank-k factors of `a` from the Gram eigenproblem.
 
@@ -162,9 +249,7 @@ def svd_truncated(a, k: int) -> SvdResult:
         a = a.T
     m = a.shape[0]
     with single_blas_thread():
-        # check_finite=False: _as_matrix has rejected non-finite entries.
-        q = scipy.linalg.eigh(_scaled_gram(a)[0], subset_by_index=[m - k, m - 1],
-                              check_finite=False)[1]
+        q = _subset_eigh(_scaled_gram(a)[0], m - k, m - 1, vectors=True)[1]
         ub, s, vt = np.linalg.svd(q.T @ a, full_matrices=False)
     u, v = q @ ub, vt.T
     if tall:
@@ -206,8 +291,7 @@ def spectral_norm(a) -> float:
     m = a.shape[0]
     with single_blas_thread():
         gram, e = _scaled_gram(a)
-        top = scipy.linalg.eigh(gram, eigvals_only=True, subset_by_index=[m - 1, m - 1],
-                                check_finite=False)[0]
+        top = _subset_eigh(gram, m - 1, m - 1, vectors=False)[0][0]
     return float(np.ldexp(np.sqrt(top), e))
 
 

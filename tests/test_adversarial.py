@@ -53,6 +53,9 @@ def test_testing_pair_validation():
         rank_one_testing_pair(40, 60, tau=100.0, kappa=1.0, alpha=0.05)
     with pytest.raises(ValueError):
         rank_one_testing_pair(40, 60, tau=1.0, kappa=1.0, alpha=1.5)
+    for tau in (0.0, -1.0):
+        with pytest.raises(ValueError, match="tau must be > 0"):
+            rank_one_testing_pair(40, 60, tau=tau, kappa=1.0, alpha=0.05)
 
 
 def test_testing_pair_transpose():

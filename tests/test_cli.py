@@ -81,6 +81,15 @@ def test_config_file_missing_and_bad_key(tmp_path):
     (["entrywise-coverage", "--kappa", "-1"], {}),
     (["panel-tradeoff", "--kappa2", "0"], {}),
     (["entrywise-coverage", "--C0", "0"], {}),
+    (["lower-bound-check", "--tau", "0"], {}),
+    (["lower-bound-check", "--tau", "-1"], {}),
+    (["lower-bound-check", "--alpha", "1"], {}),
+    (["adaptivity-demo", "--tau2", "-1"], {}),
+    (["adaptivity-demo", "--eta", "1.5"], {}),
+    (["adaptivity-demo", "--eta", "0"], {}),
+    (["adaptivity-demo", "--alpha", "0"], {}),
+    (["panel-tradeoff", "--c", "5"], {}),
+    (["panel-tradeoff", "--c", "0"], {}),
 ])
 def test_invalid_size_exit_code(flags, tmp_path, monkeypatch, capsys):
     argv, env = flags

@@ -269,3 +269,24 @@ def test_calibrate_c0_runs_and_positive():
     # At desk scale every in-space draw truncates, so the calibration falls
     # back to the default constant.
     assert c0 == DEFAULT_C0
+
+
+def _normal_exponents(x):
+    # Powers of two j for which every entry of 2**j x stays a normal float,
+    # with 8 bits of headroom below overflow for the sums of n products.
+    finfo = np.finfo(float)
+    lo = int(np.frexp(np.min(np.abs(x)))[1])
+    hi = int(np.frexp(np.max(np.abs(x)))[1])
+    return finfo.minexp + 1 - lo, finfo.maxexp - 8 - hi
+
+
+@given(n=st.integers(3, 12), t=st.integers(3, 12), seed=st.integers(0, 2**32 - 1),
+       tau=st.floats(0, 30), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_estimate_m11_scale_and_sign_equivariant(n, t, seed, tau, data):
+    rng = np.random.default_rng(seed)
+    x = tau * random_rank_one(n, t, rng) + rng.standard_normal((n, t))
+    j = data.draw(st.integers(*_normal_exponents(x)), label="j")
+    base = estimate_m11(x)
+    assert estimate_m11(np.ldexp(x, j)) == pytest.approx(np.ldexp(base, j), rel=1e-12)
+    assert estimate_m11(-x) == pytest.approx(-base, rel=1e-12)

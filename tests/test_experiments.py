@@ -1,7 +1,11 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakfactor import entrywise
 from weakfactor import experiments as ex
@@ -13,7 +17,7 @@ from weakfactor.model import (
     sample_observation,
     sample_panel,
 )
-from weakfactor.montecarlo import get_generator, get_procedure, run_experiment
+from weakfactor.montecarlo import get_generator, get_procedure, run_experiment, write_csv
 
 
 def test_flat_instance_strength():
@@ -202,3 +206,27 @@ def test_noise_norm_check_small():
     result = ex.noise_norm_check(n=30, t=30, reps=30, seed=9)
     assert 0.0 <= result["frequency"] <= 1.0
     assert result["bound"] == pytest.approx(3.0 * math.sqrt(60), rel=1e-12)
+
+
+# Builders with small grids; the hidden-entry pair needs n T >= 576.
+CSV_BUILDERS = {
+    "rate_in_tau": ex.rate_in_tau_spec,
+    "adaptive_coverage": ex.adaptive_coverage_spec,
+    "pretest_control": ex.pretest_control_spec,
+    "panel_tradeoff": ex.panel_tradeoff_spec,
+}
+
+
+@given(builder=st.sampled_from(sorted(CSV_BUILDERS)), n=st.integers(24, 40),
+       t=st.integers(24, 40), reps=st.integers(1, 4), seed=st.integers(0, 2**63 - 1))
+@settings(max_examples=20, deadline=None)
+def test_csv_bytes_identical_at_one_and_two_workers(builder, n, t, reps, seed):
+    spec = CSV_BUILDERS[builder](n=n, t=t, reps=reps, seed=seed)
+    files = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for workers in (1, 2):
+            path = os.path.join(tmp, f"w{workers}.csv")
+            write_csv(run_experiment(spec, workers=workers), path)
+            with open(path, "rb") as fh:
+                files.append(fh.read())
+    assert files[0] == files[1]

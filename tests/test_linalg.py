@@ -1,9 +1,15 @@
+import ctypes
+import sys
+import threading
+
 import numpy as np
 import pytest
+import scipy.linalg.cython_lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from weakfactor import linalg
 from weakfactor.entrywise import spectral_threshold
 
 from weakfactor.linalg import (
@@ -190,3 +196,84 @@ def test_non_finite_rejected():
     a[1, 1] = np.nan
     with pytest.raises(ValueError):
         spectral_norm(a)
+
+
+def _assert_subset_eigh_matches_scipy(gram, lo, hi):
+    w, z = linalg._subset_eigh(gram, lo, hi, vectors=True)
+    w_ref, z_ref = scipy.linalg.eigh(gram, subset_by_index=[lo, hi], check_finite=False)
+    assert np.array_equal(w, w_ref) and np.array_equal(z, z_ref)
+    w, z = linalg._subset_eigh(gram, lo, hi, vectors=False)
+    w_ref = scipy.linalg.eigh(gram, eigvals_only=True, subset_by_index=[lo, hi],
+                              check_finite=False)
+    assert np.array_equal(w, w_ref) and z is None
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 100, 257])
+def test_subset_eigh_equals_scipy_eigh(m):
+    gram = linalg._scaled_gram(_spectral_case((m, m + 3), 3.0 * m, 1.0, np.random.default_rng(m)))[0]
+    for k in range(1, min(4, m) + 1):
+        _assert_subset_eigh_matches_scipy(gram, m - k, m - 1)
+
+
+@given(m=st.integers(1, 30), extra=st.integers(-5, 5), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_subset_eigh_equals_scipy_eigh_drawn(m, extra, seed, data):
+    rng = np.random.default_rng(seed)
+    gram = linalg._scaled_gram(rng.standard_normal((m, max(1, m + extra))))[0]
+    lo = data.draw(st.integers(0, m - 1), label="lo")
+    hi = data.draw(st.integers(lo, m - 1), label="hi")
+    _assert_subset_eigh_matches_scipy(gram, lo, hi)
+
+
+def test_subset_eigh_releases_the_gil():
+    assert not type(linalg._dsyevr())._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+
+@pytest.mark.parametrize("shape, lo, hi", [((5, 5), 3, 2), ((5, 5), -1, 2), ((5, 5), 3, 5),
+                                           ((5, 4), 0, 1), ((5,), 0, 1)])
+def test_subset_eigh_rejects_bad_arguments(shape, lo, hi):
+    with pytest.raises(ValueError):
+        linalg._subset_eigh(np.ones(shape), lo, hi, vectors=True)
+
+
+def test_dsyevr_signature_checked(monkeypatch):
+    # A capsule with another signature (dsyev's) must be refused, not called.
+    capi = scipy.linalg.cython_lapack.__pyx_capi__
+    monkeypatch.setitem(capi, "dsyevr", capi["dsyev"])
+    with pytest.raises(RuntimeError, match="signature"):
+        linalg._dsyevr.__wrapped__()
+
+
+def test_kernels_concurrent_calls_match_sequential():
+    rng = np.random.default_rng(11)
+    mats = [_spectral_case((60 + 7 * i, 50 + 3 * i), 40.0, 1.0, rng) for i in range(8)]
+
+    def call(a):
+        return svd_truncated(a, 3), spectral_norm(a)
+
+    sequential = [call(a) for a in mats]
+    barrier = threading.Barrier(4)
+    results = [None] * len(mats)
+
+    def worker(w):
+        barrier.wait()
+        for _ in range(5):
+            for i in range(w, len(mats), 4):
+                results[i] = call(mats[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with linalg.single_blas_thread():
+            threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for (svd, norm), (svd_ref, norm_ref) in zip(results, sequential):
+        assert norm == norm_ref
+        assert all(np.array_equal(x, y) for x, y in zip(svd, svd_ref))

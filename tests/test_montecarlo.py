@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 import pytest
-import scipy.linalg
+import scipy
 
 from weakfactor import entrywise, experiments, linalg, montecarlo
 from weakfactor.montecarlo import (
@@ -214,13 +214,13 @@ def test_blas_threads_restored_after_experiment_error(two_blas_threads):
 
 def test_top_k_kernels_cap_blas_threads(two_blas_threads, monkeypatch):
     seen = []
-    eigh = scipy.linalg.eigh
+    subset_eigh = linalg._subset_eigh
 
-    def recording_eigh(*args, **kwargs):
+    def recording_subset_eigh(*args, **kwargs):
         seen.append(_pool_threads())
-        return eigh(*args, **kwargs)
+        return subset_eigh(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(linalg, "_subset_eigh", recording_subset_eigh)
     a = np.random.default_rng(3).standard_normal((6, 9))
     linalg.svd_truncated(a, 2)
     linalg.svd_truncated(a.T, 2)

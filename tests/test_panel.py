@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weakfactor import panel
 from weakfactor.experiments import panel_means
@@ -168,3 +170,18 @@ def test_ci_star_rejects_unconverged_fit(monkeypatch):
     monkeypatch.setattr(panel, "ls_estimator", lambda x, y, rank: (0.0, None, False))
     with pytest.raises(RuntimeError, match="did not converge"):
         ci_star(x, y, kappa2=10.0)
+
+
+@given(n=st.integers(4, 14), t=st.integers(4, 14), seed=st.integers(0, 2**32 - 1),
+       beta=st.floats(-2, 2))
+@settings(max_examples=60, deadline=None)
+def test_estimate_beta_transpose_equivariant(n, t, seed, beta):
+    assume(n != t)
+    rng = np.random.default_rng(seed)
+    m, d = panel_means(n, t, math.sqrt(n * t), math.sqrt(n * t))
+    inst = PanelInstance(m, d, sigma_eps=1.0, sigma_u=1.0, beta=beta, r0=1, r1=1)
+    x, y = sample_panel(inst, rng)
+    a = estimate_beta(x, y, r0=1, r1=1)
+    b = estimate_beta(x.T, y.T, r0=1, r1=1)
+    assert b.beta_hat == a.beta_hat and b.r_hat == a.r_hat
+    assert b.flipped == (not a.flipped)
