@@ -158,6 +158,8 @@ def entry_perturbation_pair(
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must be in (0, 1)")
+    if not (tau0 > 0 and tau2 > 0):
+        raise ValueError(f"tau0 and tau2 must be > 0, got {tau0:g} and {tau2:g}")
     m = base.mean
     s = np.linalg.svd(m, compute_uv=False)
     if np.max(np.abs(m)) > kappa * (1 - eta) * (1 + 1e-12):

@@ -2,8 +2,9 @@
 
 Subcommands map one-to-one onto the experiment builders in
 :mod:`weakfactor.experiments`.  Option values resolve in three layers:
-built-in defaults, then a config file (INI style, a ``[common]`` section
-plus one section per subcommand), then command-line flags.
+the keyword defaults of the subcommand's builder, then a config file (INI
+style, a ``[common]`` section plus one section per subcommand), then
+command-line flags.
 
 Exit codes: 0 on success, 1 on experiment failure, 2 on usage errors.
 """
@@ -12,14 +13,14 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import json
 import math
 import os
 import sys
 
 from . import __version__, experiments
-from .entrywise import DEFAULT_C0, calibrate_c0
-from .model import DEFAULT_SEED
+from .entrywise import calibrate_c0
 from .montecarlo import (
     ExperimentError,
     ResultTable,
@@ -116,37 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Defaults per subcommand; every subcommand also takes the keys of _COMMON.
-_COMMON = {"seed": DEFAULT_SEED, "threads": None, "out": None}
-DEFAULTS = {
-    "entrywise-rate": {
-        "n": 100, "T": 100, "reps": 500, "kappa": 1.0,
-        "spike_frac": 0.75, "mode": "tau", "format": "csv",
-    },
-    "entrywise-coverage": {
-        "n": 100, "T": 100, "reps": 500, "kappa": 1.0,
-        "c0": DEFAULT_C0, "calibrate": False, "format": "csv",
-    },
-    "adaptivity-demo": {
-        "n": 100, "T": 100, "reps": 500, "kappa": 1.0,
-        "eta": 0.5, "tau2": 1.0, "alpha": 0.05, "format": "csv",
-    },
-    "lower-bound-check": {
-        "n": 100, "T": 100, "reps": 2000, "kappa": 1.0,
-        "tau": None, "alpha": 0.05, "format": "json",
-    },
-    "panel-rate": {
-        "n": None, "T": None, "reps": 500,
-        "panel_config": "strong", "beta": 0.5, "format": "csv",
-    },
-    "panel-tradeoff": {
-        "n": 100, "T": 100, "reps": 500, "kappa2": 10.0,
-        "c": 3.9, "format": "csv",
-    },
-    "oracle-check": {
-        "n": 8, "T": 8, "reps": 100_000, "format": "json",
-    },
-}
+# Builder parameters whose option has another name.
+_OPTION_NAMES = {"t": "T", "config": "panel_config"}
 
 
 def _coerce(key: str, raw: str):
@@ -162,7 +134,15 @@ def _coerce(key: str, raw: str):
 def resolve_config(args: argparse.Namespace) -> dict:
     """Merge defaults, config-file values, and flags (highest priority last)."""
     sub = args.subcommand
-    cfg = {**_COMMON, **DEFAULTS[sub]}
+    # An option defaults to the front end's own default, or to the keyword
+    # default of the subcommand's builder, or else to None.
+    _, builder, front_end = _SUBCOMMANDS[sub]
+    params = inspect.signature(builder).parameters
+    defaults = {_OPTION_NAMES.get(name, name): p.default for name, p in params.items()}
+    cfg = {
+        key: front_end.get(key, defaults.get(key))
+        for key in vars(args) if key not in ("subcommand", "config")
+    }
 
     if args.config:
         ini = configparser.ConfigParser()
@@ -290,20 +270,18 @@ def _cmd_entrywise_rate(cfg: dict) -> int:
 
 
 def _cmd_entrywise_coverage(cfg: dict) -> int:
-    c0 = cfg["c0"]
     if cfg["calibrate"]:
         taus = [f * math.sqrt(cfg["n"] * cfg["T"]) for f in (0.3, 0.5, 1.0)]
-        c0 = calibrate_c0(
-            cfg["n"], cfg["T"], cfg["kappa"], taus, seed=cfg["seed"],
+        cfg["c0"] = calibrate_c0(
+            cfg["n"], cfg["T"], cfg["kappa"], taus, seed=cfg["seed"], workers=cfg["threads"],
         )
-        cfg["c0"] = c0
-        print(f"calibrated C0 = {c0:.3f}")
+        print(f"calibrated C0 = {cfg['c0']:.3f}")
     spec = experiments.adaptive_coverage_spec(
         n=cfg["n"], t=cfg["T"], reps=cfg["reps"], seed=cfg["seed"],
-        kappa=cfg["kappa"], c0=c0,
+        kappa=cfg["kappa"], c0=cfg["c0"],
     )
     table = run_experiment(spec, workers=cfg["threads"])
-    print(f"{spec.name}: R = {spec.replications}, C0 = {c0:g}")
+    print(f"{spec.name}: R = {spec.replications}, C0 = {cfg['c0']:g}")
     _print_summaries(table)
     _write_table(table, cfg)
     return 0
@@ -329,7 +307,7 @@ def _cmd_adaptivity_demo(cfg: dict) -> int:
 def _cmd_lower_bound_check(cfg: dict) -> int:
     result = experiments.lr_power_check(
         n=cfg["n"], t=cfg["T"], tau=cfg["tau"], kappa=cfg["kappa"],
-        alpha=cfg["alpha"], reps=cfg["reps"], seed=cfg["seed"],
+        alpha=cfg["alpha"], reps=cfg["reps"], seed=cfg["seed"], workers=cfg["threads"],
     )
     print(f"two-point testing pair at n={result['n']}, T={result['T']}, tau={result['tau']:g}")
     print(f"  TV upper bound      {result['tv_upper']:.6f} (target <= alpha = {result['alpha']})")
@@ -393,14 +371,21 @@ def _cmd_oracle_check(cfg: dict) -> int:
     return 0
 
 
-_COMMANDS = {
-    "entrywise-rate": _cmd_entrywise_rate,
-    "entrywise-coverage": _cmd_entrywise_coverage,
-    "adaptivity-demo": _cmd_adaptivity_demo,
-    "lower-bound-check": _cmd_lower_bound_check,
-    "panel-rate": _cmd_panel_rate,
-    "panel-tradeoff": _cmd_panel_tradeoff,
-    "oracle-check": _cmd_oracle_check,
+# Per subcommand: its handler, the builder whose keyword defaults are its
+# defaults, and the defaults of the options that only the front end reads.
+_SUBCOMMANDS = {
+    "entrywise-rate": (
+        _cmd_entrywise_rate, experiments.rate_in_tau_spec, {"mode": "tau", "format": "csv"},
+    ),
+    "entrywise-coverage": (
+        _cmd_entrywise_coverage, experiments.adaptive_coverage_spec,
+        {"calibrate": False, "format": "csv"},
+    ),
+    "adaptivity-demo": (_cmd_adaptivity_demo, experiments.pretest_control_spec, {"format": "csv"}),
+    "lower-bound-check": (_cmd_lower_bound_check, experiments.lr_power_check, {"format": "json"}),
+    "panel-rate": (_cmd_panel_rate, experiments.panel_rate_spec, {"format": "csv"}),
+    "panel-tradeoff": (_cmd_panel_tradeoff, experiments.panel_tradeoff_spec, {"format": "csv"}),
+    "oracle-check": (_cmd_oracle_check, experiments.oracle_checks, {"format": "json"}),
 }
 
 
@@ -413,7 +398,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.subcommand](cfg)
+        return _SUBCOMMANDS[args.subcommand][0](cfg)
     except (ExperimentError, ValueError, OSError) as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
         return 1

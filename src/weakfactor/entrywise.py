@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .linalg import SvdResult, single_blas_thread, spectral_norm, svd_truncated, zero_entry_11
-from .model import DEFAULT_SEED, FactorInstance, replication_rng, sample_observation
+from .linalg import SvdResult, spectral_norm, svd_truncated, zero_entry_11
+from .model import DEFAULT_SEED
 
 __all__ = [
     "Interval",
@@ -230,7 +230,6 @@ def naive_pretest_ci(x, alpha: float = 0.05, k_max: int = 2) -> Interval:
     return Interval(value - z * se, value + z * se)
 
 
-@single_blas_thread()
 def calibrate_c0(
     n: int,
     t: int,
@@ -239,32 +238,39 @@ def calibrate_c0(
     alpha: float = 0.05,
     reps: int = 1000,
     seed: int = DEFAULT_SEED,
+    workers: int = 1,
 ) -> float:
     """Smallest width constant reaching 1 - alpha coverage on a reference grid.
 
     For each grid strength a flat rank-one instance with sigma_1 = tau is
-    sampled `reps` times; each non-truncated replication yields the smallest
-    c0 that would have covered the truth, and the calibrated value is the
-    largest (1 - alpha) quantile of those requirements across the grid.
-    Runs on one BLAS thread.
+    sampled `reps` times through :func:`~weakfactor.montecarlo.run_experiment`;
+    each non-truncated replication yields the smallest c0 that would have
+    covered the truth, and the calibrated value is the largest (1 - alpha)
+    quantile of those requirements across the grid.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    # Imported here because experiments imports this module; it also
+    # registers the generator and procedure that the spec names.
+    from . import experiments
+
+    spec = experiments.ExperimentSpec(
+        name="calibrate-c0",
+        generator="rank_one_entrywise",
+        procedure="adaptive_point",
+        replications=reps,
+        master_seed=seed,
+        grid=tuple({"n": n, "T": t, "tau": tau} for tau in tau_grid),
+        generator_params={"kappa": kappa},
+        procedure_params={"kappa_bar": kappa},
+    )
+    table = experiments.run_experiment(spec, workers)
     required = 0.0
     sqrt_nt = math.sqrt(n + t)
-    for gi, tau in enumerate(tau_grid):
-        entry = tau / math.sqrt(n * t)
-        m = np.full((n, t), entry)
-        inst = FactorInstance(mean=m, kappa=kappa)
-        needs = []
-        for r in range(reps):
-            rng = replication_rng(seed, gi, r)
-            x = sample_observation(inst, rng)
-            est = adaptive_estimate_m11(x, kappa)
-            if est.truncated:
-                continue  # trivial interval always covers
-            err = abs(est.value - inst.mean[0, 0])
-            needs.append(2.0 * err / min(sqrt_nt / est.spectral_stat, 1.0))
+    for gi in range(len(spec.grid)):
+        # A truncated replication's trivial interval always covers.
+        needs = [
+            2.0 * abs(r.estimate - r.truth) / min(sqrt_nt / r.aux["spectral_stat"], 1.0)
+            for r in table.ok_rows(gi) if not r.aux["truncated"]
+        ]
         if needs:
             required = max(required, float(np.quantile(needs, 1.0 - alpha)))
     return required if required > 0 else DEFAULT_C0

@@ -7,11 +7,12 @@ and provides builder functions returning ready-to-run
 experiment (rate in strength, rate in size, adaptive coverage, the
 pre-test negative control, panel rates, and the panel coverage tradeoff).
 
-Standalone checks that do not fit the one-estimate-per-replication shape
-(likelihood-ratio power, noise-norm concentration, the information-theory
-oracle cross-checks) live here as plain functions.  Like the replications
-of :func:`~weakfactor.montecarlo.run_experiment`, each runs on one BLAS
-thread.
+The likelihood-ratio power and noise-norm checks, like
+:func:`weakfactor.entrywise.calibrate_c0`, run as specs through
+:func:`~weakfactor.montecarlo.run_experiment` and reduce its error-free rows;
+more than 10% error rows at a grid point abort them with ExperimentError.
+Only the information-theory oracle cross-checks, one vectorized batch each,
+run outside the engine, on one BLAS thread.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .model import (
     sample_observation,
     sample_panel,
 )
-from .montecarlo import ExperimentSpec, register_generator, register_procedure
+from .montecarlo import ExperimentSpec, register_generator, register_procedure, run_experiment
 from .panel import ci_star, estimate_beta, ls_estimator
 
 __all__ = [
@@ -134,6 +135,14 @@ def panel_means(
 # where draw(rng) -> data samples from the instance built once per grid point.
 
 
+def _arm(pair, grid_point, null: str = "null"):
+    """The instance of a two-point pair that the grid point's arm names."""
+    arm = grid_point["arm"]
+    if arm not in (null, "alt"):
+        raise ValueError(f"arm must be {null!r} or 'alt', got {arm!r}")
+    return pair.null_instance if arm == null else pair.alt_instance
+
+
 @register_generator("rank_one_entrywise")
 def _gen_rank_one(grid_point, params):
     n, t, tau = int(grid_point["n"]), int(grid_point["T"]), float(grid_point["tau"])
@@ -157,7 +166,7 @@ def _gen_perturbation_arm(grid_point, params):
         np.full((n, t), kappa * (1.0 - eta)), kappa, label="perturbation-base"
     )
     pair = entry_perturbation_pair(base, eta=eta, kappa=kappa, tau0=tau0, tau2=tau2)
-    inst = pair.null_instance if grid_point["arm"] == "base" else pair.alt_instance
+    inst = _arm(pair, grid_point, null="base")
     return inst.mean[0, 0], partial(sample_observation, inst)
 
 
@@ -182,8 +191,24 @@ def _gen_panel_arm(grid_point, params):
     c = float(params.get("c", 3.9))
     m1, d1 = panel_means(n, t, math.sqrt(n * t), kappa2 * math.sqrt(n * t))
     pair = panel_shift_pair(m1, d1, c)
-    inst = pair.null_instance if grid_point["arm"] == "null" else pair.alt_instance
+    inst = _arm(pair, grid_point)
     return inst.beta, partial(sample_panel, inst)
+
+
+@register_generator("testing_pair_arm")
+def _gen_testing_arm(grid_point, params):
+    n, t = int(grid_point["n"]), int(grid_point["T"])
+    pair = rank_one_testing_pair(n, t, params["tau"], params["kappa"], params["alpha"])
+    inst = _arm(pair, grid_point)
+    # Draws carry both means, which the likelihood-ratio statistic needs.
+    null_m, alt_m = pair.null_instance.mean, pair.alt_instance.mean
+    return inst.mean[0, 0], lambda rng: (sample_observation(inst, rng), null_m, alt_m)
+
+
+@register_generator("pure_noise")
+def _gen_pure_noise(grid_point, params):
+    shape = (int(grid_point["n"]), int(grid_point["T"]))
+    return 0.0, lambda rng: rng.standard_normal(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +223,7 @@ def _proc_pca(data, grid_point, params):
 @register_procedure("adaptive_point")
 def _proc_adaptive(data, grid_point, params):
     est = adaptive_estimate_m11(data, float(params.get("kappa_bar", 1.0)))
-    return {"estimate": est.value, "truncated": est.truncated}
+    return {"estimate": est.value, "truncated": est.truncated, "spectral_stat": est.spectral_stat}
 
 
 @register_procedure("adaptive_interval")
@@ -227,6 +252,17 @@ def _proc_naive_ci(data, grid_point, params):
         "lower": iv.lower,
         "upper": iv.upper,
     }
+
+
+@register_procedure("lr_stat")
+def _proc_lr_stat(data, grid_point, params):
+    x, null_m, alt_m = data
+    return {"estimate": likelihood_ratio_stat(x, null_m, alt_m)}
+
+
+@register_procedure("spectral_norm")
+def _proc_spectral_norm(data, grid_point, params):
+    return {"estimate": spectral_norm(data)}
 
 
 @register_procedure("panel_trace")
@@ -438,7 +474,6 @@ def panel_tradeoff_spec(
 # Standalone checks.
 
 
-@single_blas_thread()
 def lr_power_check(
     n: int = 100,
     t: int = 100,
@@ -447,6 +482,7 @@ def lr_power_check(
     alpha: float = 0.05,
     reps: int = 2000,
     seed: int = DEFAULT_SEED,
+    workers: int = 1,
 ) -> dict:
     """Power of the empirically calibrated likelihood-ratio test.
 
@@ -455,25 +491,27 @@ def lr_power_check(
     size up to Monte Carlo error.  At the two-point construction the power
     cannot exceed 2 alpha plus statistical slack.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
     if tau is None:
         tau = kappa * math.sqrt(n * t) / 12.0
-    pair = rank_one_testing_pair(n, t, tau, kappa, alpha)
-    null_m = pair.null_instance.mean
-    alt_m = pair.alt_instance.mean
-
-    null_stats = np.empty(reps)
-    alt_stats = np.empty(reps)
-    for r in range(reps):
-        x0 = sample_observation(pair.null_instance, replication_rng(seed, 0, r))
-        null_stats[r] = likelihood_ratio_stat(x0, null_m, alt_m)
-        x1 = sample_observation(pair.alt_instance, replication_rng(seed, 1, r))
-        alt_stats[r] = likelihood_ratio_stat(x1, null_m, alt_m)
+    # Validating the pair runs dense SVDs outside the engine; cap BLAS as the
+    # engine does, or idle BLAS threads spin on the other cores.
+    with single_blas_thread():
+        pair = rank_one_testing_pair(n, t, tau, kappa, alpha)
+    spec = ExperimentSpec(
+        name="lr-power",
+        generator="testing_pair_arm",
+        procedure="lr_stat",
+        replications=reps,
+        master_seed=seed,
+        grid=({"n": n, "T": t, "arm": "null"}, {"n": n, "T": t, "arm": "alt"}),
+        generator_params={"tau": tau, "kappa": kappa, "alpha": alpha},
+    )
+    table = run_experiment(spec, workers)
+    null_stats, alt_stats = (np.array([r.estimate for r in table.ok_rows(gi)]) for gi in (0, 1))
     critical = float(np.quantile(null_stats, 1.0 - alpha))
     power = float(np.mean(alt_stats > critical))
     size = float(np.mean(null_stats > critical))
-    power_se = math.sqrt(max(power * (1.0 - power), 1e-12) / reps)
+    power_se = math.sqrt(max(power * (1.0 - power), 1e-12) / alt_stats.size)
     return {
         "n": n, "T": t, "tau": tau, "kappa": kappa, "alpha": alpha,
         "reps": reps, "seed": seed,
@@ -488,26 +526,28 @@ def lr_power_check(
     }
 
 
-@single_blas_thread()
 def noise_norm_check(
     n: int = 100,
     t: int = 100,
     factor: float = 3.0,
     reps: int = 500,
     seed: int = DEFAULT_SEED,
+    workers: int = 1,
 ) -> dict:
     """Frequency of ||noise|| <= factor * sqrt(n + T) for iid Gaussian noise."""
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
     bound = factor * math.sqrt(n + t)
-    hits = 0
-    for r in range(reps):
-        rng = replication_rng(seed, 0, r)
-        eps = rng.standard_normal((n, t))
-        hits += spectral_norm(eps) <= bound
+    spec = ExperimentSpec(
+        name="noise-norm",
+        generator="pure_noise",
+        procedure="spectral_norm",
+        replications=reps,
+        master_seed=seed,
+        grid=({"n": n, "T": t},),
+    )
+    norms = [r.estimate for r in run_experiment(spec, workers).ok_rows(0)]
     return {
         "n": n, "T": t, "factor": factor, "reps": reps, "seed": seed,
-        "bound": bound, "frequency": hits / reps,
+        "bound": bound, "frequency": sum(norm <= bound for norm in norms) / len(norms),
     }
 
 

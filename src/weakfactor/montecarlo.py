@@ -98,7 +98,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+            raise ValueError(f"reps must be >= 1, got {self.replications}")
         if not self.grid:
             raise ValueError("grid must be nonempty")
         object.__setattr__(self, "grid", tuple(dict(g) for g in self.grid))
@@ -136,6 +136,10 @@ class ResultTable:
     spec: ExperimentSpec
     rows: tuple  # of ReplicationRecord
     summaries: tuple  # of GridSummary
+
+    def ok_rows(self, grid_index: int) -> list:
+        """The error-free rows of one grid point, in replication order."""
+        return [r for r in self.rows if r.grid_index == grid_index and not r.error_tag]
 
 
 def _run_cell(spec: ExperimentSpec, proc, points, gi: int, rep: int) -> ReplicationRecord:

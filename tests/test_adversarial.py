@@ -102,6 +102,17 @@ def test_perturbation_pair_validation():
         entry_perturbation_pair(weak_base, eta=0.5, kappa=1.0, tau0=5.0, tau2=1.0)
 
 
+@pytest.mark.parametrize("tau0, tau2", [(4.0, 0.0), (4.0, -1.0), (0.0, 1.0), (-1.0, 1.0)])
+def test_perturbation_pair_rejects_nonpositive_strengths(tau0, tau2, monkeypatch):
+    base = FactorInstance(np.full((30, 30), 0.5), 1.0)
+    svd_calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svd_calls.append(a) or svd(*a, **k))
+    with pytest.raises(ValueError, match="tau0 and tau2 must be > 0"):
+        entry_perturbation_pair(base, eta=0.5, kappa=1.0, tau0=tau0, tau2=tau2)
+    assert svd_calls == []
+
+
 def test_panel_shift_pair_kl_values():
     n = t = 30
     m1, d1 = panel_means(n, t, math.sqrt(n * t), math.sqrt(n * t))

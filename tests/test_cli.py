@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from weakfactor.cli import main
+from weakfactor import __version__
+from weakfactor.cli import build_parser, main, resolve_config
 
 
 def run_cli(args):
@@ -158,3 +159,57 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
                     "--seed", "5", "--out", str(out1)]) == 0
     meta = json.loads((tmp_path / "env.csv.meta.json").read_text())
     assert meta["threads"] == 2
+
+
+def test_lower_bound_check_same_result_at_two_threads(tmp_path):
+    docs = []
+    for threads in (1, 2):
+        out = tmp_path / f"lb{threads}.json"
+        assert run_cli(["lower-bound-check", "--n", "20", "--T", "20", "--reps", "50",
+                        "--seed", "3", "--threads", str(threads), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"].pop("threads") == threads
+        assert doc["config"].pop("out") == str(out)
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
+# resolve_config at default flags, as the literal defaults table gave it.
+_COMMON = {"out": None, "seed": 20260823, "threads": 1}
+DEFAULT_CONFIGS = {
+    "entrywise-rate": {
+        "T": 100, "format": "csv", "kappa": 1.0, "mode": "tau", "n": 100,
+        "reps": 500, "spike_frac": 0.75,
+    },
+    "entrywise-coverage": {
+        "T": 100, "c0": 8.0, "calibrate": False, "format": "csv", "kappa": 1.0,
+        "n": 100, "reps": 500,
+    },
+    "adaptivity-demo": {
+        "T": 100, "alpha": 0.05, "eta": 0.5, "format": "csv", "kappa": 1.0,
+        "n": 100, "reps": 500, "tau2": 1.0,
+    },
+    "lower-bound-check": {
+        "T": 100, "alpha": 0.05, "format": "json", "kappa": 1.0, "n": 100,
+        "reps": 2000, "tau": None,
+    },
+    "panel-rate": {
+        "T": None, "beta": 0.5, "format": "csv", "n": None, "panel_config": "strong",
+        "reps": 500,
+    },
+    "panel-tradeoff": {
+        "T": 100, "c": 3.9, "format": "csv", "kappa2": 10.0, "n": 100, "reps": 500,
+    },
+    "oracle-check": {"T": 8, "format": "json", "n": 8, "reps": 100000},
+}
+
+
+@pytest.mark.parametrize("sub", list(DEFAULT_CONFIGS))
+def test_resolve_config_defaults(sub, monkeypatch):
+    monkeypatch.delenv("WEAKFACTOR_THREADS", raising=False)
+    cfg = resolve_config(build_parser().parse_args([sub]))
+    expected = {
+        **_COMMON, **DEFAULT_CONFIGS[sub], "subcommand": sub, "library_version": __version__,
+    }
+    assert cfg == expected
+    assert {k: type(v) for k, v in cfg.items()} == {k: type(v) for k, v in expected.items()}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakfactor import entrywise
+from weakfactor import entrywise, montecarlo
 from weakfactor import experiments as ex
 from weakfactor.adversarial import entry_perturbation_pair, panel_shift_pair
 from weakfactor.model import (
@@ -17,7 +17,14 @@ from weakfactor.model import (
     sample_observation,
     sample_panel,
 )
-from weakfactor.montecarlo import get_generator, get_procedure, run_experiment, write_csv
+from weakfactor.montecarlo import (
+    ExperimentError,
+    ExperimentSpec,
+    get_generator,
+    get_procedure,
+    run_experiment,
+    write_csv,
+)
 
 
 def test_flat_instance_strength():
@@ -68,10 +75,11 @@ def test_panel_means_orthogonality():
 
 def test_registered_names_resolve():
     for name in ("rank_one_entrywise", "perturbation_pair_arm", "panel_config",
-                 "panel_pair_arm"):
+                 "panel_pair_arm", "testing_pair_arm", "pure_noise"):
         get_generator(name)
     for name in ("pca_point", "adaptive_point", "adaptive_interval",
-                 "naive_interval", "panel_trace", "panel_ls", "panel_ci_star"):
+                 "naive_interval", "panel_trace", "panel_ls", "panel_ci_star",
+                 "lr_stat", "spectral_norm"):
         get_procedure(name)
 
 
@@ -195,11 +203,54 @@ def test_oracle_checks_rejects_one_rep():
 ], ids=["lr_power_check", "noise_norm_check", "calibrate_c0"])
 def test_standalone_checks_reject_reps_below_one(check, reps, monkeypatch):
     draws = []
-    for module in (ex, entrywise):
-        monkeypatch.setattr(module, "replication_rng", lambda *key: draws.append(key))
+    monkeypatch.setattr(montecarlo, "replication_rng", lambda *key: draws.append(key))
     with pytest.raises(ValueError, match="reps must be >= 1"):
         check(reps)
     assert draws == []
+
+
+@pytest.mark.parametrize("arm", ["nul", "bogus"])
+@pytest.mark.parametrize("generator, params", [
+    ("perturbation_pair_arm", {}),
+    ("panel_pair_arm", {}),
+    ("testing_pair_arm", {"tau": 2.0, "kappa": 1.0, "alpha": 0.05}),
+], ids=["perturbation_pair_arm", "panel_pair_arm", "testing_pair_arm"])
+def test_pair_generators_reject_unknown_arm(generator, params, arm, monkeypatch):
+    grid_point = {"n": 30, "T": 30, "arm": arm}
+    with pytest.raises(ValueError, match="arm must be"):
+        get_generator(generator)(grid_point, params)
+    draws = []
+    monkeypatch.setattr(montecarlo, "replication_rng", lambda *key: draws.append(key))
+    spec = ExperimentSpec(name="bad-arm", generator=generator, procedure="pca_point",
+                          replications=2, master_seed=1, grid=(grid_point,),
+                          generator_params=params)
+    with pytest.raises(ExperimentError, match=f"grid point 0 .*arm must be .*{arm!r}"):
+        run_experiment(spec)
+    assert draws == []
+
+
+@given(n=st.integers(4, 12), t=st.integers(4, 12), reps=st.integers(1, 6),
+       seed=st.integers(0, 2**63 - 1))
+@settings(max_examples=10, deadline=None)
+def test_checks_identical_at_one_and_two_workers(n, t, reps, seed):
+    taus = [0.5 * math.sqrt(n * t), math.sqrt(n * t)]
+    for check in (
+        lambda workers: ex.lr_power_check(n=n, t=t, reps=reps, seed=seed, workers=workers),
+        lambda workers: ex.noise_norm_check(n=n, t=t, reps=reps, seed=seed, workers=workers),
+        lambda workers: entrywise.calibrate_c0(n, t, 1.0, taus, reps=reps, seed=seed,
+                                               workers=workers),
+    ):
+        assert check(1) == check(2)
+
+
+def test_calibrate_c0_identical_at_one_and_two_workers_above_threshold():
+    # At n = T = 1000 the strongest flat instance lies above the detection
+    # threshold, so replications are calibrated rather than truncated.
+    n = 1000
+    assert entrywise.spectral_threshold(1.0, n, n) < n
+    c0 = [entrywise.calibrate_c0(n, n, 1.0, [float(n)], reps=3, seed=1, workers=workers)
+          for workers in (1, 2)]
+    assert c0[0] == c0[1] != entrywise.DEFAULT_C0
 
 
 def test_noise_norm_check_small():

@@ -230,21 +230,28 @@ def test_top_k_kernels_cap_blas_threads(two_blas_threads, monkeypatch):
     assert two_blas_threads() == [2] * pools
 
 
-@pytest.mark.parametrize("module, call", [
-    (experiments, lambda: experiments.lr_power_check(n=4, t=4, reps=2)),
-    (experiments, lambda: experiments.noise_norm_check(n=4, t=4, reps=2)),
-    (experiments, lambda: experiments.oracle_checks(reps=2, n=2, t=2)),
-    (entrywise, lambda: entrywise.calibrate_c0(4, 4, kappa=1.0, tau_grid=[1.0], reps=2)),
-], ids=["lr_power_check", "noise_norm_check", "oracle_checks", "calibrate_c0"])
-def test_standalone_checks_run_on_one_blas_thread(module, call, two_blas_threads, monkeypatch):
+# Each check is recorded where it draws: the engine draws the replications of
+# the three checks that run through run_experiment.  lr_power_check also
+# builds its testing pair outside the engine, so that build is recorded too.
+@pytest.mark.parametrize("module, attr, call", [
+    (montecarlo, "replication_rng", lambda: experiments.lr_power_check(n=4, t=4, reps=2)),
+    (experiments, "rank_one_testing_pair", lambda: experiments.lr_power_check(n=4, t=4, reps=2)),
+    (montecarlo, "replication_rng", lambda: experiments.noise_norm_check(n=4, t=4, reps=2)),
+    (experiments, "replication_rng", lambda: experiments.oracle_checks(reps=2, n=2, t=2)),
+    (montecarlo, "replication_rng",
+     lambda: entrywise.calibrate_c0(4, 4, kappa=1.0, tau_grid=[1.0], reps=2)),
+], ids=["lr_power_check", "lr_power_check_pair", "noise_norm_check", "oracle_checks",
+        "calibrate_c0"])
+def test_standalone_checks_run_on_one_blas_thread(module, attr, call, two_blas_threads,
+                                                  monkeypatch):
     seen = []
-    replication_rng = module.replication_rng
+    original = getattr(module, attr)
 
-    def recording_rng(*key):
+    def recording(*args):
         seen.append(_pool_threads())
-        return replication_rng(*key)
+        return original(*args)
 
-    monkeypatch.setattr(module, "replication_rng", recording_rng)
+    monkeypatch.setattr(module, attr, recording)
     call()
     pools = len(two_blas_threads())
     assert seen and seen == [[1] * pools] * len(seen)
