@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .linalg import frobenius_norm, numerical_rank, zero_entry_11
+from .linalg import RANK_RTOL, frobenius_norm, numerical_rank, singular_values, zero_entry_11
 from .model import (
     FactorInstance,
     PanelInstance,
@@ -161,12 +161,12 @@ def entry_perturbation_pair(
     if not (tau0 > 0 and tau2 > 0):
         raise ValueError(f"tau0 and tau2 must be > 0, got {tau0:g} and {tau2:g}")
     m = base.mean
-    s = np.linalg.svd(m, compute_uv=False)
+    s = singular_values(m)
     if np.max(np.abs(m)) > kappa * (1 - eta) * (1 + 1e-12):
         raise ValueError("base violates the entry bound kappa(1 - eta)")
     if s[0] < tau0 * (1 + eta) * (1 - 1e-12):
         raise ValueError("base strength below tau0(1 + eta)")
-    if s.size > 1 and s[1] > 1e-8 * s[0]:
+    if s.size > 1 and s[1] > RANK_RTOL * s[0]:
         raise ValueError("base is not a one-factor instance")
 
     c0 = min(kappa * eta, tau0 * eta, tau2)

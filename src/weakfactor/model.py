@@ -5,6 +5,13 @@ A :class:`FactorInstance` is a low-rank mean matrix with an entry bound; a
 (low-rank fixed effects, low-rank regressor mean, noise scales, slope).
 :func:`check_membership` turns the parameter-space definitions into checkable
 predicates with per-inequality slack reporting.
+
+Every check that needs singular values takes the full spectrum from
+:func:`weakfactor.linalg.singular_values`.  Inside a
+:func:`weakfactor.linalg.singular_value_memo` scope, which run_experiment
+opens around its ground-truth builds, a matrix decomposed earlier in the
+scope (say a mean that a pair constructor has just checked and now wraps in
+an instance) reuses that result; outside one, every check decomposes.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import max_abs_entry, numerical_rank
+from .linalg import RANK_RTOL, max_abs_entry, numerical_rank, singular_values
 
 __all__ = [
     "FactorInstance",
@@ -29,11 +36,6 @@ __all__ = [
     "replication_rng",
     "DEFAULT_SEED",
 ]
-
-# Relative tolerance used both for numerical-rank decisions
-# (sigma_{k+1} <= RANK_RTOL * sigma_1 counts as rank <= k) and for
-# inequality slack in membership checks.
-RANK_RTOL = 1e-8
 
 # Master seed of every experiment and check unless the caller gives one.
 DEFAULT_SEED = 20260823
@@ -68,7 +70,7 @@ class FactorInstance:
                 f"entry bound violated: max |entry| = {max_abs_entry(self.mean):g} "
                 f"> kappa = {self.kappa:g}"
             )
-        s = np.linalg.svd(self.mean, compute_uv=False)
+        s = singular_values(self.mean)
         if s.size > 2 and s[0] > 0 and s[2] > RANK_RTOL * s[0]:
             raise ValueError("mean matrix has numerical rank > 2")
 
@@ -216,7 +218,7 @@ def check_membership(m, spec: SpaceSpec) -> MembershipReport:
     not rejected for floating-point reasons.
     """
     m = np.asarray(m, dtype=float)
-    s = np.linalg.svd(m, compute_uv=False)
+    s = singular_values(m)
     s1 = s[0] if s.size else 0.0
     s2 = s[1] if s.size > 1 else 0.0
     s3 = s[2] if s.size > 2 else 0.0

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 # Collected (criterion number, description, passed, detail) tuples; printed
@@ -12,6 +13,21 @@ def record_criterion():
         _ACCEPTANCE_RESULTS.append((number, description, passed, detail))
 
     return _record
+
+
+@pytest.fixture
+def svd_values_calls(monkeypatch):
+    """Shapes of the values-only np.linalg.svd calls made during the test."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True) is False:
+            calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakfactor import entrywise, montecarlo
+from weakfactor import entrywise, linalg, montecarlo
 from weakfactor import experiments as ex
 from weakfactor.adversarial import entry_perturbation_pair, panel_shift_pair
 from weakfactor.model import (
@@ -268,16 +268,54 @@ CSV_BUILDERS = {
 }
 
 
+def _csv_bytes(spec, workers=1) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        write_csv(run_experiment(spec, workers=workers), path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
 @given(builder=st.sampled_from(sorted(CSV_BUILDERS)), n=st.integers(24, 40),
        t=st.integers(24, 40), reps=st.integers(1, 4), seed=st.integers(0, 2**63 - 1))
 @settings(max_examples=20, deadline=None)
 def test_csv_bytes_identical_at_one_and_two_workers(builder, n, t, reps, seed):
     spec = CSV_BUILDERS[builder](n=n, t=t, reps=reps, seed=seed)
+    assert _csv_bytes(spec, workers=1) == _csv_bytes(spec, workers=2)
+
+
+@pytest.mark.skipif(not linalg._openblas_threads(),
+                    reason="neither numpy nor scipy has a bundled OpenBLAS")
+@given(builder=st.sampled_from(sorted(CSV_BUILDERS)), n=st.integers(24, 40),
+       t=st.integers(24, 40), reps=st.integers(1, 3), seed=st.integers(0, 2**63 - 1))
+@settings(max_examples=10, deadline=None)
+def test_csv_bytes_identical_whatever_blas_threads_the_caller_set(builder, n, t, reps, seed):
+    spec = CSV_BUILDERS[builder](n=n, t=t, reps=reps, seed=seed)
+    pools = linalg._openblas_threads()
+    previous = [get() for get, _ in pools]
     files = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for workers in (1, 2):
-            path = os.path.join(tmp, f"w{workers}.csv")
-            write_csv(run_experiment(spec, workers=workers), path)
-            with open(path, "rb") as fh:
-                files.append(fh.read())
+    try:
+        for threads in (1, 2):
+            for _, set_ in pools:
+                set_(threads)
+            files.append(_csv_bytes(spec))
+    finally:
+        for (_, set_), count in zip(pools, previous):
+            set_(count)
     assert files[0] == files[1]
+
+
+# Values-only SVDs that validate the ground truths of one call: the distinct
+# matrices of panel_shift_pair (M1, D1, M1 - delta D1), and the two means of
+# the hidden-entry and of the rank-one testing pair, each decomposed once.
+@pytest.mark.parametrize("run, distinct", [
+    (lambda: run_experiment(ex.panel_tradeoff_spec(n=24, t=24, reps=1)), 3),
+    (lambda: run_experiment(ex.pretest_control_spec(n=24, t=24, reps=1)), 2),
+    (lambda: ex.lr_power_check(n=24, t=24, reps=2), 2),
+], ids=["panel_tradeoff", "pretest_control", "lr_power_check"])
+def test_each_distinct_ground_truth_decomposed_once_per_call(run, distinct, svd_values_calls):
+    run()
+    assert len(svd_values_calls) == distinct
+    # Nothing is remembered between calls.
+    run()
+    assert len(svd_values_calls) == 2 * distinct

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from weakfactor import linalg
 from weakfactor.entrywise import spectral_threshold
+from weakfactor.model import FactorInstance
 
 from weakfactor.linalg import (
     annihilator,
@@ -18,6 +19,8 @@ from weakfactor.linalg import (
     max_abs_entry,
     numerical_rank,
     projector,
+    singular_value_memo,
+    singular_values,
     spectral_norm,
     svd_truncated,
     trace_product,
@@ -189,6 +192,41 @@ def test_numerical_rank():
     assert numerical_rank(u @ v.T) == 2
     assert numerical_rank(np.zeros((3, 3))) == 0
     assert numerical_rank(np.eye(4)) == 4
+
+
+def test_singular_value_memo_reuses_read_only_spectra(svd_values_calls):
+    a = RNG.standard_normal((5, 4))
+    with singular_value_memo():
+        s = singular_values(a)
+        assert singular_values(a.copy()) is s
+        assert singular_values(np.asfortranarray(a)) is s
+        with singular_value_memo():
+            assert singular_values(a) is s
+        assert len(svd_values_calls) == 1
+        assert not s.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            s[0] = 0.0
+    # The memo is dropped with its outermost scope.
+    outside = singular_values(a)
+    assert len(svd_values_calls) == 2
+    assert outside is not s and outside.flags.writeable
+    assert np.array_equal(outside, s)
+
+
+def test_singular_value_memo_decomposes_a_matrix_changed_at_one_entry(svd_values_calls):
+    m = RNG.standard_normal((6, 2)) @ RNG.standard_normal((2, 5))
+    kappa = 2 * float(np.max(np.abs(m))) + 2.0
+    with singular_value_memo():
+        FactorInstance(m, kappa)
+        nudged = m.copy()
+        nudged[0, 0] = np.nextafter(m[0, 0], np.inf)
+        FactorInstance(nudged, kappa)
+        rank_three = m.copy()
+        rank_three[0, 0] += 1.0
+        with pytest.raises(ValueError, match="numerical rank > 2"):
+            FactorInstance(rank_three, kappa)
+        assert len(svd_values_calls) == 3
+        assert np.array_equal(singular_values(rank_three), np.linalg.svd(rank_three, compute_uv=False))
 
 
 def test_non_finite_rejected():
