@@ -10,7 +10,6 @@ Monte Carlo suite cross-checks empirically.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -49,17 +48,6 @@ class TwoPointPair:
     info: dict = field(default_factory=dict)
     construction: str = ""
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "construction": self.construction,
-                "separation": self.separation,
-                "info": {k: v for k, v in self.info.items()},
-                "null": json.loads(self.null_instance.to_json()),
-                "alt": json.loads(self.alt_instance.to_json()),
-            }
-        )
-
 
 def rank_one_testing_pair(
     n: int,
@@ -67,28 +55,16 @@ def rank_one_testing_pair(
     tau: float,
     kappa: float,
     alpha: float,
-    transpose: bool = False,
 ) -> TwoPointPair:
     """Rank-one pair that defeats any size-alpha test of a zero (1,1) entry.
 
     Both means share the loading (kappa/2, c1, ..., c1); the null factor has a
     zero first coordinate while the alternative's is c2, chosen so the
     total-variation distance between the observed-data laws is at most alpha.
-    Requires 0 < tau <= kappa sqrt(nT) / 12.  With `transpose` the construction is
-    applied to the transposed dimensions (n and T swap roles).
+    Requires 0 < tau <= kappa sqrt(nT) / 12.  The large loading kappa/2 sits
+    in row 1 and the perturbed factor coordinate in column 1; to swap the
+    roles of n and T, build the pair at (t, n) and transpose both means.
     """
-    if transpose:
-        pair = rank_one_testing_pair(t, n, tau, kappa, alpha, transpose=False)
-        null_m = pair.null_instance.mean.T
-        alt_m = pair.alt_instance.mean.T
-        return TwoPointPair(
-            null_instance=FactorInstance(null_m, kappa, label="testing-pair-null"),
-            alt_instance=FactorInstance(alt_m, kappa, label="testing-pair-alt"),
-            separation=pair.separation,
-            info=dict(pair.info),
-            construction="rank_one_testing_pair(transposed)",
-        )
-
     if n < 2 or t < 2:
         raise ValueError("need n, T >= 2")
     if not tau > 0:

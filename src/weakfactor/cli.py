@@ -3,8 +3,8 @@
 Subcommands map one-to-one onto the experiment builders in
 :mod:`weakfactor.experiments`.  Option values resolve in three layers:
 the keyword defaults of the subcommand's builder, then a config file (INI
-style, a ``[common]`` section plus one section per subcommand), then
-command-line flags.
+style, a ``[common]`` section plus one section per subcommand, each value
+parsed by its flag's own type and choices), then command-line flags.
 
 Exit codes: 0 on success, 1 on experiment failure, 2 on usage errors.
 """
@@ -18,9 +18,11 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 from . import __version__, experiments
 from .entrywise import calibrate_c0
+from .linalg import singular_value_memo
 from .montecarlo import (
     ExperimentError,
     ResultTable,
@@ -121,14 +123,18 @@ def build_parser() -> argparse.ArgumentParser:
 _OPTION_NAMES = {"t": "T", "config": "panel_config"}
 
 
-def _coerce(key: str, raw: str):
-    if key in ("n", "T", "reps", "seed", "threads"):
-        return int(raw)
-    if key in ("calibrate",):
-        return raw.strip().lower() in ("1", "true", "yes", "on")
-    if key in ("mode", "format", "out", "panel_config"):
-        return raw
-    return float(raw)
+def _ini_value(ini: configparser.ConfigParser, section: str, key: str, action):
+    """A config-file value, parsed by the type and choices of its option."""
+    raw = ini.get(section, key)
+    try:
+        if action.nargs == 0:  # an on/off flag such as --calibrate
+            return ini.getboolean(section, key)
+        value = action.type(raw) if action.type else raw
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"invalid choice {raw!r}, choose from {', '.join(action.choices)}")
+    except ValueError as exc:
+        raise ValueError(f"config key {key!r} in [{section}]: {exc}") from None
+    return value
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -149,13 +155,16 @@ def resolve_config(args: argparse.Namespace) -> dict:
         read = ini.read(args.config)
         if not read:
             raise FileNotFoundError(f"config file not found: {args.config}")
+        # Keys name the subcommand's options in any case; configparser lowercases them.
+        subparsers = next(a for a in build_parser()._actions if a.dest == "subcommand")
+        options = {a.dest.lower(): a for a in subparsers.choices[sub]._actions if a.dest in cfg}
         for section in ("common", sub):
             if ini.has_section(section):
-                for key, raw in ini.items(section):
-                    key = key.replace("-", "_")
-                    if key not in cfg:
+                for key in ini.options(section):
+                    action = options.get(key.replace("-", "_"))
+                    if action is None:
                         raise ValueError(f"unknown config key {key!r} in [{section}]")
-                    cfg[key] = _coerce(key, raw)
+                    cfg[action.dest] = _ini_value(ini, section, key, action)
 
     for key, value in vars(args).items():
         if key in ("subcommand", "config") or value is None:
@@ -270,16 +279,18 @@ def _cmd_entrywise_rate(cfg: dict) -> int:
 
 
 def _cmd_entrywise_coverage(cfg: dict) -> int:
+    build = partial(
+        experiments.adaptive_coverage_spec,
+        n=cfg["n"], t=cfg["T"], reps=cfg["reps"], seed=cfg["seed"], kappa=cfg["kappa"],
+    )
     if cfg["calibrate"]:
-        taus = [f * math.sqrt(cfg["n"] * cfg["T"]) for f in (0.3, 0.5, 1.0)]
+        # Calibrate on the spec's strong grid points; the last one is the weak point.
+        taus = [gp["tau"] for gp in build().grid[:-1]]
         cfg["c0"] = calibrate_c0(
             cfg["n"], cfg["T"], cfg["kappa"], taus, seed=cfg["seed"], workers=cfg["threads"],
         )
         print(f"calibrated C0 = {cfg['c0']:.3f}")
-    spec = experiments.adaptive_coverage_spec(
-        n=cfg["n"], t=cfg["T"], reps=cfg["reps"], seed=cfg["seed"],
-        kappa=cfg["kappa"], c0=cfg["c0"],
-    )
+    spec = build(c0=cfg["c0"])
     table = run_experiment(spec, workers=cfg["threads"])
     print(f"{spec.name}: R = {spec.replications}, C0 = {cfg['c0']:g}")
     _print_summaries(table)
@@ -398,7 +409,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _SUBCOMMANDS[args.subcommand][0](cfg)
+        # One memo for the whole command: its experiments share ground truths.
+        with singular_value_memo():
+            return _SUBCOMMANDS[args.subcommand][0](cfg)
     except (ExperimentError, ValueError, OSError) as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
         return 1

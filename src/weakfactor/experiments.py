@@ -48,7 +48,7 @@ from .model import (
     sample_panel,
 )
 from .montecarlo import ExperimentSpec, register_generator, register_procedure, run_experiment
-from .panel import ci_star, estimate_beta, ls_estimator
+from .panel import ci_star, estimate_beta
 
 __all__ = [
     "spiked_rank_one_instance",
@@ -133,20 +133,24 @@ def panel_means(
 # ---------------------------------------------------------------------------
 # Registered generators.  Signature: (grid_point, params) -> (truth, draw),
 # where draw(rng) -> data samples from the instance built once per grid point.
+# params carry every key that the spec's builder sets; no defaults live here.
 
 
-def _arm(pair, grid_point, null: str = "null"):
-    """The instance of a two-point pair that the grid point's arm names."""
+def _arm(grid_point, null: str = "null") -> str:
+    """The field of a two-point pair holding the instance the arm names.
+
+    Called before the pair is built, so a bad arm costs no decomposition.
+    """
     arm = grid_point["arm"]
     if arm not in (null, "alt"):
         raise ValueError(f"arm must be {null!r} or 'alt', got {arm!r}")
-    return pair.null_instance if arm == null else pair.alt_instance
+    return "null_instance" if arm == null else "alt_instance"
 
 
 @register_generator("rank_one_entrywise")
 def _gen_rank_one(grid_point, params):
     n, t, tau = int(grid_point["n"]), int(grid_point["T"]), float(grid_point["tau"])
-    kappa = float(params.get("kappa", 1.0))
+    kappa = float(params["kappa"])
     spike_frac = params.get("spike_frac")
     if spike_frac is None:
         inst = flat_rank_one_instance(n, t, tau, kappa)
@@ -157,25 +161,26 @@ def _gen_rank_one(grid_point, params):
 
 @register_generator("perturbation_pair_arm")
 def _gen_perturbation_arm(grid_point, params):
+    arm = _arm(grid_point, null="base")
     n, t = int(grid_point["n"]), int(grid_point["T"])
-    kappa = float(params.get("kappa", 1.0))
-    eta = float(params.get("eta", 0.5))
-    tau0 = float(params.get("tau0", math.sqrt(n * t) / 24.0))
-    tau2 = float(params.get("tau2", 1.0))
+    kappa = float(params["kappa"])
+    eta = float(params["eta"])
+    tau0 = math.sqrt(n * t) / 24.0
+    tau2 = float(params["tau2"])
     base = FactorInstance(
         np.full((n, t), kappa * (1.0 - eta)), kappa, label="perturbation-base"
     )
     pair = entry_perturbation_pair(base, eta=eta, kappa=kappa, tau0=tau0, tau2=tau2)
-    inst = _arm(pair, grid_point, null="base")
+    inst = getattr(pair, arm)
     return inst.mean[0, 0], partial(sample_observation, inst)
 
 
 @register_generator("panel_config")
 def _gen_panel(grid_point, params):
     n, t = int(grid_point["n"]), int(grid_point["T"])
-    beta = float(params.get("beta", 0.5))
-    sigma_m = math.sqrt(n + t) if params.get("weak_m") else math.sqrt(n * t)
-    sigma_d = math.sqrt(n + t) if params.get("weak_d") else math.sqrt(n * t)
+    beta = float(params["beta"])
+    sigma_m = math.sqrt(n + t) if params["weak_m"] else math.sqrt(n * t)
+    sigma_d = math.sqrt(n + t) if params["weak_d"] else math.sqrt(n * t)
     m, d = panel_means(n, t, sigma_m, sigma_d)
     inst = PanelInstance(
         mean=m, regressor_mean=d, sigma_eps=1.0, sigma_u=1.0, beta=beta,
@@ -186,20 +191,22 @@ def _gen_panel(grid_point, params):
 
 @register_generator("panel_pair_arm")
 def _gen_panel_arm(grid_point, params):
+    arm = _arm(grid_point)
     n, t = int(grid_point["n"]), int(grid_point["T"])
-    kappa2 = float(params.get("kappa2", 10.0))
-    c = float(params.get("c", 3.9))
+    kappa2 = float(params["kappa2"])
+    c = float(params["c"])
     m1, d1 = panel_means(n, t, math.sqrt(n * t), kappa2 * math.sqrt(n * t))
     pair = panel_shift_pair(m1, d1, c)
-    inst = _arm(pair, grid_point)
+    inst = getattr(pair, arm)
     return inst.beta, partial(sample_panel, inst)
 
 
 @register_generator("testing_pair_arm")
 def _gen_testing_arm(grid_point, params):
+    arm = _arm(grid_point)
     n, t = int(grid_point["n"]), int(grid_point["T"])
     pair = rank_one_testing_pair(n, t, params["tau"], params["kappa"], params["alpha"])
-    inst = _arm(pair, grid_point)
+    inst = getattr(pair, arm)
     # Draws carry both means, which the likelihood-ratio statistic needs.
     null_m, alt_m = pair.null_instance.mean, pair.alt_instance.mean
     return inst.mean[0, 0], lambda rng: (sample_observation(inst, rng), null_m, alt_m)
@@ -212,7 +219,8 @@ def _gen_pure_noise(grid_point, params):
 
 
 # ---------------------------------------------------------------------------
-# Registered procedures.  Signature: (data, grid_point, params) -> result dict.
+# Registered procedures.  Signature: (data, grid_point, params) -> result dict,
+# with params as for the generators.
 
 
 @register_procedure("pca_point")
@@ -222,14 +230,14 @@ def _proc_pca(data, grid_point, params):
 
 @register_procedure("adaptive_point")
 def _proc_adaptive(data, grid_point, params):
-    est = adaptive_estimate_m11(data, float(params.get("kappa_bar", 1.0)))
+    est = adaptive_estimate_m11(data, float(params["kappa_bar"]))
     return {"estimate": est.value, "truncated": est.truncated, "spectral_stat": est.spectral_stat}
 
 
 @register_procedure("adaptive_interval")
 def _proc_adaptive_ci(data, grid_point, params):
-    kappa_bar = float(params.get("kappa_bar", 1.0))
-    c0 = float(params.get("c0", DEFAULT_C0))
+    kappa_bar = float(params["kappa_bar"])
+    c0 = float(params["c0"])
     est = adaptive_estimate_m11(data, kappa_bar)
     iv = adaptive_ci_from_estimate(est, *data.shape, kappa_bar, c0)
     return {
@@ -242,11 +250,7 @@ def _proc_adaptive_ci(data, grid_point, params):
 
 @register_procedure("naive_interval")
 def _proc_naive_ci(data, grid_point, params):
-    iv = naive_pretest_ci(
-        data,
-        alpha=float(params.get("alpha", 0.05)),
-        k_max=int(params.get("k_max", 2)),
-    )
+    iv = naive_pretest_ci(data, alpha=float(params["alpha"]))
     return {
         "estimate": 0.5 * (iv.lower + iv.upper),
         "lower": iv.lower,
@@ -268,21 +272,14 @@ def _proc_spectral_norm(data, grid_point, params):
 @register_procedure("panel_trace")
 def _proc_panel_trace(data, grid_point, params):
     x, y = data
-    est = estimate_beta(x, y, int(params.get("r0", 1)), int(params.get("r1", 1)))
+    est = estimate_beta(x, y, int(params["r0"]), int(params["r1"]))
     return {"estimate": est.beta_hat, "r_hat": est.r_hat}
-
-
-@register_procedure("panel_ls")
-def _proc_panel_ls(data, grid_point, params):
-    x, y = data
-    beta, _, converged = ls_estimator(x, y, rank=int(params.get("rank", 2)))
-    return {"estimate": beta, "converged": converged}
 
 
 @register_procedure("panel_ci_star")
 def _proc_panel_ci_star(data, grid_point, params):
     x, y = data
-    iv = ci_star(x, y, float(params.get("kappa2", 10.0)))
+    iv = ci_star(x, y, float(params["kappa2"]))
     return {
         "estimate": 0.5 * (iv.lower + iv.upper),
         "lower": iv.lower,

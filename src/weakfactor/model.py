@@ -16,7 +16,6 @@ an instance) reuses that result; outside one, every check decomposes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -74,24 +73,6 @@ class FactorInstance:
         if s.size > 2 and s[0] > 0 and s[2] > RANK_RTOL * s[0]:
             raise ValueError("mean matrix has numerical rank > 2")
 
-    def to_json(self) -> str:
-        n, t = self.mean.shape
-        return json.dumps(
-            {
-                "n": n,
-                "T": t,
-                "kappa": self.kappa,
-                "label": self.label,
-                "M": self.mean.ravel().tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, doc: str) -> "FactorInstance":
-        d = json.loads(doc)
-        mean = np.asarray(d["M"], dtype=float).reshape(d["n"], d["T"])
-        return cls(mean=mean, kappa=d["kappa"], label=d.get("label", ""))
-
 
 @dataclass(frozen=True)
 class PanelInstance:
@@ -123,40 +104,6 @@ class PanelInstance:
                 raise ValueError(f"{name}={sig:g} outside [1/kappa, kappa]")
         if abs(self.beta) > self.kappa:
             raise ValueError("|beta| exceeds kappa")
-
-    def to_json(self) -> str:
-        n, t = self.mean.shape
-        return json.dumps(
-            {
-                "n": n,
-                "T": t,
-                "kappa": self.kappa,
-                "label": self.label,
-                "M": self.mean.ravel().tolist(),
-                "D": self.regressor_mean.ravel().tolist(),
-                "sigma_eps": self.sigma_eps,
-                "sigma_u": self.sigma_u,
-                "beta": self.beta,
-                "r0": self.r0,
-                "r1": self.r1,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, doc: str) -> "PanelInstance":
-        d = json.loads(doc)
-        shape = (d["n"], d["T"])
-        return cls(
-            mean=np.asarray(d["M"], dtype=float).reshape(shape),
-            regressor_mean=np.asarray(d["D"], dtype=float).reshape(shape),
-            sigma_eps=d["sigma_eps"],
-            sigma_u=d["sigma_u"],
-            beta=d["beta"],
-            r0=d["r0"],
-            r1=d["r1"],
-            kappa=d["kappa"],
-            label=d.get("label", ""),
-        )
 
 
 @dataclass(frozen=True)

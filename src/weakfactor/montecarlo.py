@@ -14,7 +14,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -330,22 +330,7 @@ def write_json_summary(table: ResultTable, path, config: Optional[dict] = None) 
             "procedure_params": table.spec.procedure_params,
         },
         "config": config or {},
-        "summaries": [
-            {
-                "grid_index": s.grid_index,
-                "grid_point": s.grid_point,
-                "n_ok": s.n_ok,
-                "n_error": s.n_error,
-                "coverage": s.coverage,
-                "coverage_se": s.coverage_se,
-                "mean_width": s.mean_width,
-                "width_se": s.width_se,
-                "rmse": s.rmse,
-                "rmse_se": s.rmse_se,
-                "median_abs_error": s.median_abs_error,
-            }
-            for s in table.summaries
-        ],
+        "summaries": [asdict(s) for s in table.summaries],
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

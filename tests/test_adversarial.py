@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -56,25 +55,6 @@ def test_testing_pair_validation():
     for tau in (0.0, -1.0):
         with pytest.raises(ValueError, match="tau must be > 0"):
             rank_one_testing_pair(40, 60, tau=tau, kappa=1.0, alpha=0.05)
-
-
-def test_testing_pair_transpose():
-    pair = rank_one_testing_pair(30, 50, tau=2.0, kappa=1.0, alpha=0.05,
-                                 transpose=True)
-    assert pair.null_instance.mean.shape == (30, 50)
-    # The transposed construction puts the null zero in the first row.
-    assert pair.null_instance.mean[0, 0] == 0.0
-    direct = rank_one_testing_pair(50, 30, tau=2.0, kappa=1.0, alpha=0.05)
-    assert np.array_equal(pair.null_instance.mean, direct.null_instance.mean.T)
-
-
-def test_testing_pair_json():
-    pair = rank_one_testing_pair(10, 10, tau=0.5, kappa=1.0, alpha=0.05)
-    doc = json.loads(pair.to_json())
-    assert doc["construction"] == "rank_one_testing_pair"
-    assert doc["null"]["n"] == 10
-    back = FactorInstance.from_json(json.dumps(doc["alt"]))
-    assert np.array_equal(back.mean, pair.alt_instance.mean)
 
 
 def test_perturbation_pair_bitwise_and_c0():

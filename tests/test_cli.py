@@ -69,6 +69,28 @@ def test_config_file_missing_and_bad_key(tmp_path):
     assert run_cli(["entrywise-rate", "--config", str(bad)]) == 2
 
 
+def test_config_keys_match_options_case_insensitively(tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[common]\nT = 20\n")
+    resolved = resolve_config(build_parser().parse_args(["entrywise-rate", "--config", str(cfg)]))
+    assert resolved["T"] == 20 and type(resolved["T"]) is int
+
+
+@pytest.mark.parametrize("sub, ini", [
+    ("entrywise-rate", "[common]\nmode = bogus\n"),
+    ("entrywise-rate", "[common]\nformat = xml\n"),
+    ("panel-rate", "[panel-rate]\npanel_config = bogus\n"),
+    ("entrywise-coverage", "[entrywise-coverage]\ncalibrate = maybe\n"),
+], ids=["mode", "format", "panel_config", "calibrate"])
+def test_bad_config_value_exit_code(sub, ini, tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(ini)
+    assert run_cli([sub, "--config", str(cfg), "--reps", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""  # nothing ran
+
+
 # Each case is (argv, environment variables).
 @pytest.mark.parametrize("flags", [
     (["entrywise-rate", "--reps", "0"], {}),
@@ -213,3 +235,15 @@ def test_resolve_config_defaults(sub, monkeypatch):
     }
     assert cfg == expected
     assert {k: type(v) for k, v in cfg.items()} == {k: type(v) for k, v in expected.items()}
+
+
+# Values-only SVDs of one command: panel-rate builds two fixed-effect and two
+# regressor means per size (strong and weak), shared by its four configs, and
+# the calibration grid of entrywise-coverage is its first three strengths.
+@pytest.mark.parametrize("argv, distinct", [
+    (["panel-rate", "--panel-config", "all", "--reps", "1"], 12),
+    (["entrywise-coverage", "--calibrate", "--n", "20", "--T", "20", "--reps", "1"], 4),
+], ids=["panel-rate-all", "entrywise-coverage-calibrate"])
+def test_each_ground_truth_decomposed_once_per_command(argv, distinct, svd_values_calls):
+    assert run_cli(argv) == 0
+    assert len(svd_values_calls) == distinct

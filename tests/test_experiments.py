@@ -78,7 +78,7 @@ def test_registered_names_resolve():
                  "panel_pair_arm", "testing_pair_arm", "pure_noise"):
         get_generator(name)
     for name in ("pca_point", "adaptive_point", "adaptive_interval",
-                 "naive_interval", "panel_trace", "panel_ls", "panel_ci_star",
+                 "naive_interval", "panel_trace", "panel_ci_star",
                  "lr_stat", "spectral_norm"):
         get_procedure(name)
 
@@ -91,12 +91,15 @@ def test_generator_outputs():
     assert draw(rng).shape == (20, 20)
     assert 0.0 < truth <= 1.0
 
-    truth, draw = get_generator("panel_config")({"n": 10, "T": 12}, {"beta": 0.5})
+    truth, draw = get_generator("panel_config")(
+        {"n": 10, "T": 12}, {"beta": 0.5, "weak_m": False, "weak_d": False}
+    )
     x, y = draw(rng)
     assert truth == 0.5 and x.shape == (10, 12) and y.shape == (10, 12)
 
-    t_null, _ = get_generator("panel_pair_arm")({"n": 10, "T": 10, "arm": "null"}, {})
-    t_alt, _ = get_generator("panel_pair_arm")({"n": 10, "T": 10, "arm": "alt"}, {})
+    params = {"kappa2": 10.0, "c": 3.9}
+    t_null, _ = get_generator("panel_pair_arm")({"n": 10, "T": 10, "arm": "null"}, params)
+    t_alt, _ = get_generator("panel_pair_arm")({"n": 10, "T": 10, "arm": "alt"}, params)
     assert t_null == 0.0 and t_alt == pytest.approx(3.9 / 10.0)
 
 
@@ -227,6 +230,20 @@ def test_pair_generators_reject_unknown_arm(generator, params, arm, monkeypatch)
     with pytest.raises(ExperimentError, match=f"grid point 0 .*arm must be .*{arm!r}"):
         run_experiment(spec)
     assert draws == []
+
+
+@pytest.mark.parametrize("spec", [
+    ex.pretest_control_spec(n=30, t=30),
+    ex.panel_tradeoff_spec(n=30, t=30),
+    ExperimentSpec(name="lr-power", generator="testing_pair_arm", procedure="lr_stat",
+                   replications=1, master_seed=1, grid=({"n": 30, "T": 30, "arm": "null"},),
+                   generator_params={"tau": 2.0, "kappa": 1.0, "alpha": 0.05}),
+], ids=["perturbation_pair_arm", "panel_pair_arm", "testing_pair_arm"])
+def test_pair_generators_check_the_arm_before_building_the_pair(spec, svd_values_calls):
+    grid_point = dict(spec.grid[0], arm="bogus")
+    with pytest.raises(ValueError, match="arm must be"):
+        get_generator(spec.generator)(grid_point, spec.generator_params)
+    assert svd_values_calls == []
 
 
 @given(n=st.integers(4, 12), t=st.integers(4, 12), reps=st.integers(1, 6),
