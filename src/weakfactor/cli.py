@@ -21,7 +21,7 @@ import sys
 from functools import partial
 
 from . import __version__, experiments
-from .entrywise import calibrate_c0
+from .entrywise import DEFAULT_C0, calibrate_c0
 from .linalg import singular_value_memo
 from .montecarlo import (
     ExperimentError,
@@ -137,6 +137,15 @@ def _ini_value(ini: configparser.ConfigParser, section: str, key: str, action):
     return value
 
 
+def _fixed_size_builder(sub: str, cfg: dict):
+    """The builder that runs its own grid of sizes for this command, or None."""
+    if sub == "panel-rate":
+        return experiments.panel_rate_spec
+    if sub == "entrywise-rate" and cfg["mode"] == "size":
+        return experiments.rate_in_size_spec
+    return None
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
     """Merge defaults, config-file values, and flags (highest priority last)."""
     sub = args.subcommand
@@ -149,6 +158,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         key: front_end.get(key, defaults.get(key))
         for key in vars(args) if key not in ("subcommand", "config")
     }
+    sized = []  # where the subcommand itself was given n or T
 
     if args.config:
         ini = configparser.ConfigParser()
@@ -165,11 +175,25 @@ def resolve_config(args: argparse.Namespace) -> dict:
                     if action is None:
                         raise ValueError(f"unknown config key {key!r} in [{section}]")
                     cfg[action.dest] = _ini_value(ini, section, key, action)
+                    if section == sub and action.dest in ("n", "T"):
+                        sized.append(f"{key} in [{sub}]")
 
     for key, value in vars(args).items():
         if key in ("subcommand", "config") or value is None:
             continue
         cfg[key] = value
+        if key in ("n", "T"):
+            sized.append(f"--{key}")
+
+    # panel-rate and entrywise-rate --mode size run their builder's own
+    # sizes: a size asked of them alone is refused, a [common] one ignored.
+    builder = _fixed_size_builder(sub, cfg)
+    if builder is not None:
+        if sized:
+            sizes = inspect.signature(builder).parameters["sizes"].default
+            raise ValueError(f"{' and '.join(sized)} cannot apply: this command runs its own "
+                             f"sizes, n = T in {sizes}")
+        cfg["n"] = cfg["T"] = None
 
     # The oracle checks report Monte Carlo standard errors, which need two draws.
     min_reps = 2 if sub == "oracle-check" else 1
@@ -289,7 +313,9 @@ def _cmd_entrywise_coverage(cfg: dict) -> int:
         cfg["c0"] = calibrate_c0(
             cfg["n"], cfg["T"], cfg["kappa"], taus, seed=cfg["seed"], workers=cfg["threads"],
         )
-        print(f"calibrated C0 = {cfg['c0']:.3f}")
+        # calibrate_c0 warns and falls back to DEFAULT_C0 when no replication calibrated it.
+        note = "  (default: no replication above the detection threshold)"
+        print(f"calibrated C0 = {cfg['c0']:.3f}{note if cfg['c0'] == DEFAULT_C0 else ''}")
     spec = build(c0=cfg["c0"])
     table = run_experiment(spec, workers=cfg["threads"])
     print(f"{spec.name}: R = {spec.replications}, C0 = {cfg['c0']:g}")

@@ -12,6 +12,7 @@ read ``x[0, 0]``.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,6 +248,10 @@ def calibrate_c0(
     each non-truncated replication yields the smallest c0 that would have
     covered the truth, and the calibrated value is the largest (1 - alpha)
     quantile of those requirements across the grid.
+
+    When no replication lies above the detection threshold (at n = T = 100
+    none does) nothing is calibrated: a RuntimeWarning names the grid and
+    the count, and DEFAULT_C0 is returned.
     """
     # Imported here because experiments imports this module; it also
     # registers the generator and procedure that the spec names.
@@ -264,6 +269,7 @@ def calibrate_c0(
     )
     table = experiments.run_experiment(spec, workers)
     required = 0.0
+    calibrated = 0
     sqrt_nt = math.sqrt(n + t)
     for gi in range(len(spec.grid)):
         # A truncated replication's trivial interval always covers.
@@ -271,6 +277,15 @@ def calibrate_c0(
             2.0 * abs(r.estimate - r.truth) / min(sqrt_nt / r.aux["spectral_stat"], 1.0)
             for r in table.ok_rows(gi) if not r.aux["truncated"]
         ]
+        calibrated += len(needs)
         if needs:
             required = max(required, float(np.quantile(needs, 1.0 - alpha)))
-    return required if required > 0 else DEFAULT_C0
+    if required > 0:
+        return required
+    warnings.warn(
+        f"calibrate_c0 calibrated {calibrated} of {reps * len(spec.grid)} replications on the "
+        f"grid n={n}, T={t}, tau={[gp['tau'] for gp in spec.grid]} (detection threshold "
+        f"{spectral_threshold(kappa, n, t):.4g}); returning DEFAULT_C0 = {DEFAULT_C0:g}",
+        RuntimeWarning, stacklevel=2,
+    )
+    return DEFAULT_C0

@@ -124,6 +124,42 @@ def test_invalid_size_exit_code(flags, tmp_path, monkeypatch, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# panel-rate, and entrywise-rate in size mode, run their builders' own sizes.
+@pytest.mark.parametrize("argv, ini", [
+    (["panel-rate", "--n", "10", "--T", "10", "--panel-config", "strong"], None),
+    (["panel-rate", "--T", "10"], None),
+    (["panel-rate"], "[panel-rate]\nn = 10\n"),
+    (["entrywise-rate", "--mode", "size", "--n", "10"], None),
+    (["entrywise-rate", "--mode", "size"], "[entrywise-rate]\nT = 10\n"),
+    (["entrywise-rate"], "[entrywise-rate]\nmode = size\nn = 10\n"),
+], ids=["panel-rate-flags", "panel-rate-T", "panel-rate-ini", "entrywise-rate-size-flag",
+        "entrywise-rate-size-ini", "entrywise-rate-ini-mode"])
+def test_fixed_size_commands_reject_n_and_t(argv, ini, tmp_path, capsys):
+    if ini is not None:
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(ini)
+        argv = argv + ["--config", str(cfg)]
+    assert run_cli(argv + ["--reps", "1", "--out", str(tmp_path / "out.csv")]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "runs its own sizes" in captured.err
+    assert captured.out == ""  # nothing ran
+    assert list(tmp_path.glob("out*")) == []
+
+
+def test_common_sizes_apply_only_where_read(tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[common]\nn = 30\nT = 20\n")
+
+    def resolved(*argv):
+        return resolve_config(build_parser().parse_args([*argv, "--config", str(cfg)]))
+
+    assert resolved("panel-rate")["n"] is None and resolved("panel-rate")["T"] is None
+    size_mode = resolved("entrywise-rate", "--mode", "size")
+    assert size_mode["n"] is None and size_mode["T"] is None
+    assert resolved("entrywise-rate")["n"] == 30
+    assert resolved("entrywise-coverage")["T"] == 20
+
+
 def test_experiment_failure_exit_code(capsys):
     # At n = T = 10 the hidden-entry pair has no room for its perturbation
     # (tau0 = sqrt(nT)/24 < tau2): the first grid point cannot be built, and
@@ -235,6 +271,15 @@ def test_resolve_config_defaults(sub, monkeypatch):
     }
     assert cfg == expected
     assert {k: type(v) for k, v in cfg.items()} == {k: type(v) for k, v in expected.items()}
+
+
+def test_calibrate_reports_the_default_when_nothing_calibrates(capsys):
+    # At n = T = 20 every calibration replication lies below the detection threshold.
+    with pytest.warns(RuntimeWarning, match="calibrated 0 of 3000 replications"):
+        assert run_cli(["entrywise-coverage", "--calibrate", "--n", "20", "--T", "20",
+                        "--reps", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "calibrated C0 = 8.000  (default: no replication above the detection threshold)" in out
 
 
 # Values-only SVDs of one command: panel-rate builds two fixed-effect and two

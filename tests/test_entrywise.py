@@ -264,10 +264,12 @@ def test_naive_pretest_ci_validation():
 
 
 def test_calibrate_c0_runs_and_positive():
-    c0 = calibrate_c0(30, 30, kappa=1.0, tau_grid=[10.0, 20.0], reps=20)
-    assert c0 > 0
     # At desk scale every in-space draw truncates, so the calibration falls
-    # back to the default constant.
+    # back to the default constant, and says so.
+    match = r"calibrated 0 of 40 replications on the grid n=30, T=30, tau=\[10.0, 20.0\]"
+    with pytest.warns(RuntimeWarning, match=match):
+        c0 = calibrate_c0(30, 30, kappa=1.0, tau_grid=[10.0, 20.0], reps=20)
+    assert c0 > 0
     assert c0 == DEFAULT_C0
 
 

@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -263,10 +264,13 @@ def test_checks_identical_at_one_and_two_workers(n, t, reps, seed):
 def test_calibrate_c0_identical_at_one_and_two_workers_above_threshold():
     # At n = T = 1000 the strongest flat instance lies above the detection
     # threshold, so replications are calibrated rather than truncated.
+    # (At n = T = 400 no flat instance is: the threshold is 620 and tau <= 400.)
     n = 1000
     assert entrywise.spectral_threshold(1.0, n, n) < n
-    c0 = [entrywise.calibrate_c0(n, n, 1.0, [float(n)], reps=3, seed=1, workers=workers)
-          for workers in (1, 2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # a calibrating grid does not warn
+        c0 = [entrywise.calibrate_c0(n, n, 1.0, [float(n)], reps=3, seed=1, workers=workers)
+              for workers in (1, 2)]
     assert c0[0] == c0[1] != entrywise.DEFAULT_C0
 
 

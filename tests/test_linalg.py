@@ -157,6 +157,96 @@ def test_norms_against_numpy():
         assert spectral_norm(b) == pytest.approx(np.linalg.norm(b, 2), rel=1e-12)
 
 
+def _krylov_cases():
+    # Shapes at and above the Krylov route's crossover, wide and tall; no
+    # signal, a signal at the detection threshold at n=T=100, and a strong
+    # one; scales whose squares would overflow or underflow unscaled.
+    cases = []
+    for n, t in [(200, 200), (400, 400), (400, 250), (250, 400)]:
+        for tau_name, tau in [("0", 0.0), ("thr", spectral_threshold(1.0, 100, 100)),
+                              ("half", 0.5 * np.sqrt(n * t))]:
+            for scale_name, scale in [("1", 1.0), ("2^-600", 2.0**-600), ("2^600", 2.0**600)]:
+                cases.append(pytest.param((n, t), tau, scale,
+                                          id=f"{n}x{t}-tau{tau_name}-scale{scale_name}"))
+    cases.append(pytest.param((200, 200), spectral_threshold(1.0, 100, 100), 1e-310,
+                              id="200x200-tauthr-subnormal"))
+    return cases
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Names of the spectral_norm routes taken during the test, in order."""
+    calls = []
+
+    def recording(name, original):
+        def record(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return record
+
+    for name in ("_krylov_norm", "_subset_eigh"):
+        monkeypatch.setattr(linalg, name, recording(name, getattr(linalg, name)))
+    return calls
+
+
+@pytest.mark.parametrize("shape, tau, scale", _krylov_cases())
+def test_spectral_norm_krylov_route_matches_full_svd(shape, tau, scale, kernel_calls):
+    a = _spectral_case(shape, tau, scale, np.random.default_rng(shape[0] + shape[1]))
+    if scale < 1e-300:
+        assert 0.0 < np.max(np.abs(a)) < np.finfo(float).tiny
+    s = spectral_norm(a)
+    assert s == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+    assert kernel_calls[0] == "_krylov_norm"
+    if tau > 0:
+        assert kernel_calls == ["_krylov_norm"]  # certified: no fallback
+    # Bitwise deterministic: a repeat, a copy and, on the certified route,
+    # a Fortran-order copy give the same value.
+    assert spectral_norm(a) == s
+    assert spectral_norm(a.copy()) == s
+    if tau > 0:
+        assert spectral_norm(np.asfortranarray(a)) == s
+
+
+def test_krylov_certificate_is_computed_from_the_matrix(monkeypatch):
+    # A Ritz solve that reports a zero residual at every step is not
+    # trusted: the certificate is checked against the matrix itself.
+    ritz_top = linalg._ritz_top
+
+    def overconfident(alpha, beta):
+        theta, z = ritz_top(alpha, beta)
+        z = z.copy()
+        z[-1] = 0.0
+        return theta, z
+
+    monkeypatch.setattr(linalg, "_ritz_top", overconfident)
+    a = _spectral_case((300, 300), 100.0, 1.0, np.random.default_rng(6))
+    assert spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+
+
+def test_spectral_norm_pure_noise_falls_back_exactly(kernel_calls):
+    # sigma_1 and sigma_2 of pure noise nearly tie, so no certificate holds
+    # within the step cap; the Gram route gives the value.
+    a = np.random.default_rng(4).standard_normal((400, 400))
+    assert spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+    assert kernel_calls == ["_krylov_norm", "_subset_eigh"]
+
+
+def test_spectral_norm_gram_route_below_crossover(kernel_calls):
+    a = _spectral_case((199, 400), 300.0, 1.0, np.random.default_rng(5))
+    assert spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+    assert spectral_norm(a.T) == spectral_norm(a)
+    assert kernel_calls == ["_subset_eigh"] * 3
+
+
+def test_krylov_start_vector_fixed_and_read_only():
+    v = linalg._krylov_start(300)
+    assert not v.flags.writeable
+    assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-15)
+    linalg._krylov_start.cache_clear()
+    assert np.array_equal(linalg._krylov_start(300), v)
+
+
 def test_spectral_norm_power_iteration_oracle():
     a = RNG.standard_normal((30, 20))
     v = RNG.standard_normal(20)
@@ -286,6 +376,7 @@ def test_dsyevr_signature_checked(monkeypatch):
 def test_kernels_concurrent_calls_match_sequential():
     rng = np.random.default_rng(11)
     mats = [_spectral_case((60 + 7 * i, 50 + 3 * i), 40.0, 1.0, rng) for i in range(8)]
+    mats.append(_spectral_case((210, 200), 100.0, 1.0, rng))  # on the Krylov route
 
     def call(a):
         return svd_truncated(a, 3), spectral_norm(a)

@@ -249,19 +249,29 @@ def test_blas_threads_restored_after_experiment_error(two_blas_threads):
 
 def test_top_k_kernels_cap_blas_threads(two_blas_threads, monkeypatch):
     seen = []
-    subset_eigh = linalg._subset_eigh
 
-    def recording_subset_eigh(*args, **kwargs):
-        seen.append(_pool_threads())
-        return subset_eigh(*args, **kwargs)
+    def recording(name):
+        original = getattr(linalg, name)
 
-    monkeypatch.setattr(linalg, "_subset_eigh", recording_subset_eigh)
-    a = np.random.default_rng(3).standard_normal((6, 9))
+        def record(*args, **kwargs):
+            seen.append((name, _pool_threads()))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, record)
+
+    recording("_subset_eigh")
+    recording("_krylov_norm")
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((6, 9))
     linalg.svd_truncated(a, 2)
     linalg.svd_truncated(a.T, 2)
     linalg.spectral_norm(a)
+    # Large enough for the Krylov route, and with a signal it certifies.
+    big = 100.0 * np.outer(rng.standard_normal(200), rng.standard_normal(210)) / 200.0
+    linalg.spectral_norm(big + rng.standard_normal((200, 210)))
     pools = len(two_blas_threads())
-    assert seen == [[1] * pools] * 3
+    one = [1] * pools
+    assert seen == [("_subset_eigh", one)] * 3 + [("_krylov_norm", one)]
     assert two_blas_threads() == [2] * pools
 
 
