@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .linalg import RANK_RTOL, frobenius_norm, numerical_rank, singular_values, zero_entry_11
+from .linalg import RANK_RTOL, numerical_rank, singular_values, zero_entry_11
 from .model import (
     FactorInstance,
     PanelInstance,
@@ -182,7 +182,7 @@ def panel_shift_pair(m1, d1, c: float) -> TwoPointPair:
     if m1.shape != d1.shape:
         raise ValueError("M1 and D1 must have the same shape")
     n, t = m1.shape
-    scale = max(frobenius_norm(m1), frobenius_norm(d1), 1.0)
+    scale = max(np.linalg.norm(m1), np.linalg.norm(d1), 1.0)
     if numerical_rank(m1) != 1 or numerical_rank(d1) != 1:
         raise ValueError("M1 and D1 must both be rank one")
     if (

@@ -311,7 +311,8 @@ def _cmd_entrywise_coverage(cfg: dict) -> int:
         # Calibrate on the spec's strong grid points; the last one is the weak point.
         taus = [gp["tau"] for gp in build().grid[:-1]]
         cfg["c0"] = calibrate_c0(
-            cfg["n"], cfg["T"], cfg["kappa"], taus, seed=cfg["seed"], workers=cfg["threads"],
+            cfg["n"], cfg["T"], cfg["kappa"], taus, reps=cfg["reps"], seed=cfg["seed"],
+            workers=cfg["threads"],
         )
         # calibrate_c0 warns and falls back to DEFAULT_C0 when no replication calibrated it.
         note = "  (default: no replication above the detection threshold)"

@@ -2,8 +2,8 @@
 
 Implements the rank-one PCA plug-in estimator, its spectral-threshold
 truncated variant, the adaptive confidence interval whose width tracks the
-observed signal strength, a residual-based noise-variance estimator, and the
-naive "pre-test then PCA" interval used as a negative control.
+observed signal strength, and the naive "pre-test then PCA" interval used as
+a negative control.
 
 All estimators treat entry (1,1) of the data matrix as missing: they never
 read ``x[0, 0]``.
@@ -30,12 +30,13 @@ __all__ = [
     "adaptive_estimate_m11",
     "adaptive_ci",
     "adaptive_ci_from_estimate",
-    "estimate_noise_variance",
-    "eigenvalue_ratio_khat",
     "naive_pretest_ci",
     "calibrate_c0",
     "DEFAULT_C0",
 ]
+
+# Largest number of factors the pre-test of naive_pretest_ci considers.
+_PRETEST_K_MAX = 2
 
 # Default width constant for the adaptive interval.  The theory guarantees
 # existence of a universal constant but does not pin it down; use
@@ -144,17 +145,6 @@ def adaptive_ci_from_estimate(
     return Interval(est.value - half, est.value + half)
 
 
-def estimate_noise_variance(x, k_bar: int) -> float:
-    """Mean squared residual after removing the best rank-k_bar approximation."""
-    x = np.asarray(x, dtype=float)
-    n, t = x.shape
-    if k_bar < 0 or k_bar > min(n, t) - 1:
-        raise ValueError(f"k_bar={k_bar} out of range [0, {min(n, t) - 1}]")
-    if k_bar == 0:
-        return float(np.sum(x * x) / (n * t))
-    return _residual_mean_square(x, svd_truncated(x, k_bar), k_bar)
-
-
 def _residual_mean_square(x: np.ndarray, top: SvdResult, k: int) -> float:
     # The residual itself, not ||x||_F^2 - sum(s^2), which cancels.
     u, s, v = top
@@ -163,7 +153,13 @@ def _residual_mean_square(x: np.ndarray, top: SvdResult, k: int) -> float:
 
 
 def _ratio_khat(lam: np.ndarray, k_max: int) -> int:
-    # The eigenvalue-ratio scan of eigenvalue_ratio_khat over lam[:k_max + 1].
+    """Eigenvalue-ratio rule for the number of factors.
+
+    Given the eigenvalues lam of XX' in nonincreasing order (at least
+    k_max + 1 of them), returns argmax_{1<=j<=k_max} lambda_j / lambda_{j+1}.
+    If a denominator falls below 1e-12 * lambda_1 the scan stops and the
+    current j is returned (the spectrum has effectively terminated).
+    """
     floor = 1e-12 * lam[0] if lam[0] > 0 else 0.0
     best_j, best_ratio = 1, -np.inf
     for j in range(1, k_max + 1):
@@ -175,20 +171,7 @@ def _ratio_khat(lam: np.ndarray, k_max: int) -> int:
     return best_j
 
 
-def eigenvalue_ratio_khat(x, k_max: int) -> int:
-    """Eigenvalue-ratio rule for the number of factors.
-
-    Returns argmax_{1<=j<=k_max} lambda_j / lambda_{j+1} of XX'.  If a
-    denominator falls below 1e-12 * lambda_1 the scan stops and the current j
-    is returned (the spectrum has effectively terminated).
-    """
-    x = np.asarray(x, dtype=float)
-    if k_max + 1 > min(x.shape):
-        raise ValueError("k_max + 1 exceeds min(n, T)")
-    return _ratio_khat(svd_truncated(x, k_max + 1).s ** 2, k_max)
-
-
-def naive_pretest_ci(x, alpha: float = 0.05, k_max: int = 2) -> Interval:
+def naive_pretest_ci(x, alpha: float = 0.05) -> Interval:
     """Pre-test the number of factors, then a classical PCA interval.
 
     This pipeline has width of order n^{-1/2} + T^{-1/2} whenever the detected
@@ -204,8 +187,8 @@ def naive_pretest_ci(x, alpha: float = 0.05, k_max: int = 2) -> Interval:
     x = np.asarray(x, dtype=float)
     n, t = x.shape
     w = x[:, 1:]
-    top = svd_truncated(w, k_max + 1)    # one decomposition for every step
-    khat = _ratio_khat(top.s**2, k_max)
+    top = svd_truncated(w, _PRETEST_K_MAX + 1)  # one decomposition for every step
+    khat = _ratio_khat(top.s**2, _PRETEST_K_MAX)
     lhat = top.U[:, :khat]               # n x khat, orthonormal
     # Column-1 factor score by least squares on the observed rows 2..n.
     l_rest = lhat[1:, :]

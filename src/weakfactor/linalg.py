@@ -1,4 +1,4 @@
-"""Dense matrix utilities: truncated SVD, projectors, and norms.
+"""Dense matrix utilities: truncated SVD, spectral norm and validation spectra.
 
 Everything here operates on plain 2-D numpy arrays of floats.  These are the
 building blocks for the factor-model estimators; all functions are pure and
@@ -12,9 +12,9 @@ triplets with one small k x T SVD (a Rayleigh-Ritz step).  The solver is
 scipy's own ``dsyevr``, taken from ``scipy.linalg.cython_lapack`` and called
 through ctypes with the arguments ``scipy.linalg.eigh`` passes it (so with
 bitwise-equal results), but without the GIL: worker threads solve
-concurrently instead of queueing on the interpreter lock.  The rank and
-projector checks keep the full SVD, because their 1e-8 relative cutoff lies
-below the sqrt(eps) that Gram eigenvalues resolve.
+concurrently instead of queueing on the interpreter lock.  The rank checks
+keep the full SVD, because their 1e-8 relative cutoff lies below the
+sqrt(eps) that Gram eigenvalues resolve.
 
 :func:`spectral_norm` needs sigma_1 alone.  From a shorter side of 200 on
 it first tries Golub-Kahan-Lanczos bidiagonalization with full
@@ -60,10 +60,7 @@ import scipy.linalg.lapack
 __all__ = [
     "SvdResult",
     "svd_truncated",
-    "projector",
-    "annihilator",
     "spectral_norm",
-    "frobenius_norm",
     "max_abs_entry",
     "zero_entry_11",
     "trace_product",
@@ -78,10 +75,6 @@ __all__ = [
 # (sigma_{k+1} <= RANK_RTOL * sigma_1 counts as rank <= k) and for
 # inequality slack in membership checks.
 RANK_RTOL = 1e-8
-
-# Singular values below max(n, T) * sigma_1 * PINV_RTOL are treated as zero
-# when deciding rank (pseudo-inverse cutoff).
-PINV_RTOL = 1e-12
 
 
 class SvdResult(NamedTuple):
@@ -171,12 +164,6 @@ def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     """
     e = int(np.frexp(np.max(np.abs(a)))[1])
     return np.ldexp(a, -e), e
-
-
-def _scaled_gram(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """(b b', e) with b, e from _scaled: eigenvalues those of a a' times 4**-e."""
-    b, e = _scaled(a)
-    return b @ b.T, e
 
 
 # dsyevr's 21 arguments, each a pointer: c to char, i to int, d to double.
@@ -285,36 +272,14 @@ def svd_truncated(a, k: int) -> SvdResult:
         a = a.T
     m = a.shape[0]
     with single_blas_thread():
-        q = _subset_eigh(_scaled_gram(a)[0], m - k, m - 1, vectors=True)[1]
+        b = _scaled(a)[0]
+        q = _subset_eigh(b @ b.T, m - k, m - 1, vectors=True)[1]
         ub, s, vt = np.linalg.svd(q.T @ a, full_matrices=False)
     u, v = q @ ub, vt.T
     if tall:
         u, v = v, u
     u, v = _orient_columns(u, v)
     return SvdResult(U=u, s=s, V=v)
-
-
-def projector(a) -> np.ndarray:
-    """Orthogonal projector onto the column space of `a`.
-
-    Computed as A (A'A)^+ A' with the standard machine-precision rank cutoff,
-    so rank-deficient inputs (duplicated or zero columns) are handled.
-    """
-    a = _as_matrix(a)
-    if a.shape[1] == 0:
-        return np.zeros((a.shape[0], a.shape[0]))
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[0], a.shape[0]))
-    cutoff = max(a.shape) * s[0] * PINV_RTOL
-    u = u[:, s > cutoff]
-    return u @ u.T
-
-
-def annihilator(a) -> np.ndarray:
-    """I - projector(a): projector onto the orthogonal complement."""
-    a = _as_matrix(a)
-    return np.eye(a.shape[0]) - projector(a)
 
 
 # spectral_norm's Krylov route: the shorter side from which it is taken, its
@@ -454,10 +419,6 @@ def spectral_norm(a) -> float:
     return float(np.ldexp(top, e))
 
 
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(_as_matrix(a), "fro"))
-
-
 def max_abs_entry(a) -> float:
     """Entrywise sup norm."""
     a = _as_matrix(a)
@@ -465,11 +426,15 @@ def max_abs_entry(a) -> float:
 
 
 def zero_entry_11(a) -> np.ndarray:
-    """Copy of `a` with its (1,1) entry (index [0, 0]) replaced by zero."""
-    a = _as_matrix(a)
-    out = a.copy()
-    out[0, 0] = 0.0
-    return out
+    """Copy of `a` with its (1,1) entry (index [0, 0]) replaced by zero.
+
+    The entry is zeroed before the finiteness check, so whatever it held,
+    NaN or an infinity included, is never read.
+    """
+    out = np.array(a, dtype=float, order="C")
+    if out.ndim == 2:
+        out[0, 0] = 0.0
+    return _as_matrix(out)
 
 
 def trace_product(a, b) -> float:
@@ -523,9 +488,9 @@ def singular_values(a) -> np.ndarray:
     return s
 
 
-def numerical_rank(a, rtol: float = RANK_RTOL) -> int:
-    """Number of singular values above rtol * sigma_1."""
+def numerical_rank(a) -> int:
+    """Number of singular values above RANK_RTOL * sigma_1."""
     s = singular_values(_as_matrix(a))
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > RANK_RTOL * s[0]))

@@ -95,9 +95,9 @@ class PanelInstance:
         )
         if self.mean.shape != self.regressor_mean.shape:
             raise ValueError("M and D must have the same shape")
-        if numerical_rank(self.mean, RANK_RTOL) > self.r0:
+        if numerical_rank(self.mean) > self.r0:
             raise ValueError(f"rank(M) exceeds declared bound r0={self.r0}")
-        if numerical_rank(self.regressor_mean, RANK_RTOL) > self.r1:
+        if numerical_rank(self.regressor_mean) > self.r1:
             raise ValueError(f"rank(D) exceeds declared bound r1={self.r1}")
         for name, sig in (("sigma_eps", self.sigma_eps), ("sigma_u", self.sigma_u)):
             if not (1.0 / self.kappa <= sig <= self.kappa):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entrywise import Interval
-from .linalg import annihilator, svd_truncated, trace_product
+from .linalg import svd_truncated, trace_product
 from .model import PanelInstance
 
 __all__ = [
@@ -46,8 +46,9 @@ class PanelEstimate:
 def effective_rank_rhat(alpha_hat, lambda_hat, r1: int, k: int) -> float:
     """Effective rank k + r1 - trace(P_Lambda P_alpha).
 
-    Both arguments must have orthonormal columns (r1 and k of them), so the
-    trace of the projector product reduces to ||Lambda' alpha||_F^2.
+    Both arguments must have orthonormal columns (r1 and k of them), so
+    P_Lambda = Lambda Lambda', P_alpha = alpha alpha' and the trace reduces
+    to ||Lambda' alpha||_F^2.
     """
     alpha_hat = np.asarray(alpha_hat, dtype=float)
     lambda_hat = np.asarray(lambda_hat, dtype=float)
@@ -154,16 +155,22 @@ def ls_estimator(
 def sigma_theta(inst: PanelInstance) -> float:
     """Asymptotic sd of the least-squares slope under strong factors.
 
-    sigma_eps / sqrt(sigma_u^2 + trace(Pi_{M'} D' Pi_M D) / (nT)), where Pi_M
-    annihilates the column space of M (n x n) and Pi_{M'} that of M' (T x T).
+    sigma_eps / sqrt(sigma_u^2 + ||Pi_M D Pi_{M'}||_F^2 / (nT)), where Pi_M
+    annihilates the column space of M and Pi_{M'} its row space.  Both are
+    applied through the singular vectors of one thin SVD of M (singular
+    values at or below max(n, T) sigma_1 1e-12 count as zero), and the
+    squared norm is taken as trace(D' Pi_M D Pi_{M'}); no n x n or T x T
+    matrix is formed.
     """
     m = inst.mean
     d = inst.regressor_mean
     n, t = m.shape
-    pi_rows = annihilator(m)        # n x n
-    pi_cols = annihilator(m.T)      # T x T
-    proj_d = pi_rows @ d @ pi_cols
-    extra = float(np.sum(d * proj_d)) / (n * t)
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    keep = s > max(n, t) * s[0] * 1e-12
+    u, v = u[:, keep], vt[keep].T
+    r = d - u @ (u.T @ d)
+    r -= (r @ v) @ v.T
+    extra = float(np.sum(d * r)) / (n * t)
     return inst.sigma_eps / math.sqrt(inst.sigma_u**2 + extra)
 
 

@@ -185,6 +185,8 @@ def test_tv_discrepancy_upper_cases():
     b = a.copy()
     b[0, 0] += 100.0
     assert tv_discrepancy_upper(a, b) == 0.0  # hidden-entry difference only
+    b[0, 0] = np.nan
+    assert tv_discrepancy_upper(a, b) == 0.0
     c = a.copy()
     c[1, 2] += 0.3
     assert tv_discrepancy_upper(a, c) == pytest.approx(
@@ -205,6 +207,8 @@ def test_likelihood_ratio_stat_cases():
     # The hidden entry never contributes.
     x2 = x.copy()
     x2[0, 0] = 1e9
+    assert likelihood_ratio_stat(x2, m, alt) == likelihood_ratio_stat(x, m, alt)
+    x2[0, 0] = np.nan
     assert likelihood_ratio_stat(x2, m, alt) == likelihood_ratio_stat(x, m, alt)
 
 

@@ -275,7 +275,7 @@ def test_resolve_config_defaults(sub, monkeypatch):
 
 def test_calibrate_reports_the_default_when_nothing_calibrates(capsys):
     # At n = T = 20 every calibration replication lies below the detection threshold.
-    with pytest.warns(RuntimeWarning, match="calibrated 0 of 3000 replications"):
+    with pytest.warns(RuntimeWarning, match="calibrated 0 of 3 replications"):
         assert run_cli(["entrywise-coverage", "--calibrate", "--n", "20", "--T", "20",
                         "--reps", "1"]) == 0
     out = capsys.readouterr().out

@@ -14,11 +14,8 @@ from weakfactor.entrywise import spectral_threshold
 from weakfactor.model import FactorInstance
 
 from weakfactor.linalg import (
-    annihilator,
-    frobenius_norm,
     max_abs_entry,
     numerical_rank,
-    projector,
     singular_value_memo,
     singular_values,
     spectral_norm,
@@ -117,40 +114,10 @@ def test_svd_truncated_rejects_bad_k():
         svd_truncated(a, 4)
 
 
-def test_projector_against_pinv_oracle():
-    a = RNG.standard_normal((7, 3))
-    oracle = a @ np.linalg.pinv(a)
-    assert np.allclose(projector(a), oracle, atol=1e-10)
-
-
-def test_projector_rank_deficient_columns():
-    col = RNG.standard_normal((5, 1))
-    a = np.hstack([col, 2 * col, 0 * col])
-    p = projector(a)
-    assert np.allclose(p, col @ col.T / float(col[:, 0] @ col[:, 0]), atol=1e-10)
-
-
-def test_projector_empty_and_zero():
-    assert np.array_equal(projector(np.zeros((4, 0))), np.zeros((4, 4)))
-    assert np.array_equal(projector(np.zeros((4, 2))), np.zeros((4, 4)))
-
-
-@given(small_matrices)
-@settings(max_examples=50, deadline=None)
-def test_projector_idempotent_symmetric(a):
-    p = projector(a)
-    assert np.allclose(p, p.T, atol=1e-8)
-    assert np.allclose(p @ p, p, atol=1e-8)
-    q = annihilator(a)
-    assert np.allclose(p + q, np.eye(a.shape[0]), atol=1e-12)
-    assert np.allclose(q @ a, 0, atol=1e-6 * (1 + np.abs(a).max()))
-
-
 def test_norms_against_numpy():
     a = RNG.standard_normal((6, 9))
     s = np.linalg.svd(a, compute_uv=False)
     assert spectral_norm(a) == pytest.approx(s[0], rel=1e-12)
-    assert frobenius_norm(a) == pytest.approx(np.sqrt(np.sum(a * a)), rel=1e-12)
     assert max_abs_entry(a) == np.max(np.abs(a))
     for case in SPECTRAL_CASES:
         b = case.values[0]
@@ -266,6 +233,14 @@ def test_zero_entry_11_copies():
     b2 = zero_entry_11(a2)
     assert a2[0, 0] == 1.0 and b2[0, 0] == 0.0
     assert np.array_equal(b2.ravel()[1:], a2.ravel()[1:])
+    # The hidden entry is zeroed before the finiteness check reads it.
+    for hidden in (np.nan, np.inf, -np.inf):
+        a3 = a2.copy()
+        a3[0, 0] = hidden
+        assert np.array_equal(zero_entry_11(a3), b2)
+    a2[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        zero_entry_11(a2)
 
 
 def test_trace_product_identity():
@@ -326,6 +301,12 @@ def test_non_finite_rejected():
         spectral_norm(a)
 
 
+def _scaled_gram(a):
+    # The Gram matrix svd_truncated hands the subset eigensolver.
+    b = linalg._scaled(a)[0]
+    return b @ b.T
+
+
 def _assert_subset_eigh_matches_scipy(gram, lo, hi):
     w, z = linalg._subset_eigh(gram, lo, hi, vectors=True)
     w_ref, z_ref = scipy.linalg.eigh(gram, subset_by_index=[lo, hi], check_finite=False)
@@ -338,7 +319,7 @@ def _assert_subset_eigh_matches_scipy(gram, lo, hi):
 
 @pytest.mark.parametrize("m", [1, 2, 5, 100, 257])
 def test_subset_eigh_equals_scipy_eigh(m):
-    gram = linalg._scaled_gram(_spectral_case((m, m + 3), 3.0 * m, 1.0, np.random.default_rng(m)))[0]
+    gram = _scaled_gram(_spectral_case((m, m + 3), 3.0 * m, 1.0, np.random.default_rng(m)))
     for k in range(1, min(4, m) + 1):
         _assert_subset_eigh_matches_scipy(gram, m - k, m - 1)
 
@@ -348,7 +329,7 @@ def test_subset_eigh_equals_scipy_eigh(m):
 @settings(max_examples=100, deadline=None)
 def test_subset_eigh_equals_scipy_eigh_drawn(m, extra, seed, data):
     rng = np.random.default_rng(seed)
-    gram = linalg._scaled_gram(rng.standard_normal((m, max(1, m + extra))))[0]
+    gram = _scaled_gram(rng.standard_normal((m, max(1, m + extra))))
     lo = data.draw(st.integers(0, m - 1), label="lo")
     hi = data.draw(st.integers(lo, m - 1), label="hi")
     _assert_subset_eigh_matches_scipy(gram, lo, hi)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from weakfactor import panel
 from weakfactor.experiments import panel_means
-from weakfactor.linalg import projector
 from weakfactor.model import PanelInstance, make_rank_one, replication_rng, sample_panel
 from weakfactor.panel import (
     DegenerateDesignError,
@@ -74,7 +73,7 @@ def test_effective_rank_dense_projector_oracle():
     for _ in range(10):
         qa, _ = np.linalg.qr(RNG.standard_normal((20, 1)))
         ql, _ = np.linalg.qr(RNG.standard_normal((20, 3)))
-        oracle = 3 + 1 - np.trace(projector(ql) @ projector(qa))
+        oracle = 3 + 1 - np.trace((ql @ ql.T) @ (qa @ qa.T))
         assert effective_rank_rhat(qa, ql, 1, 3) == pytest.approx(oracle, abs=1e-10)
 
 
@@ -143,15 +142,18 @@ def test_sigma_theta_examples():
 
 def test_sigma_theta_dense_oracle_and_bound():
     n, t = 10, 7
-    m = make_rank_one(RNG.standard_normal(n), RNG.standard_normal(t))
-    d = make_rank_one(RNG.standard_normal(n), RNG.standard_normal(t))
-    inst = PanelInstance(m, d, sigma_eps=0.8, sigma_u=1.2, beta=0.1, r0=1, r1=1)
-    pi_m = np.eye(n) - m @ np.linalg.pinv(m)
-    pi_mt = np.eye(t) - m.T @ np.linalg.pinv(m.T)
-    extra = np.trace(pi_mt @ d.T @ pi_m @ d) / (n * t)
-    oracle = 0.8 / math.sqrt(1.2**2 + extra)
-    assert sigma_theta(inst) == pytest.approx(oracle, rel=1e-10)
-    assert sigma_theta(inst) <= 0.8 / 1.2 + 1e-12
+    for r0 in (1, 2, 0):  # M of rank one, of rank two, and M = 0
+        m = np.zeros((n, t))
+        for _ in range(r0):
+            m += make_rank_one(RNG.standard_normal(n), RNG.standard_normal(t))
+        d = make_rank_one(RNG.standard_normal(n), RNG.standard_normal(t))
+        inst = PanelInstance(m, d, sigma_eps=0.8, sigma_u=1.2, beta=0.1, r0=max(r0, 1), r1=1)
+        pi_m = np.eye(n) - m @ np.linalg.pinv(m)
+        pi_mt = np.eye(t) - m.T @ np.linalg.pinv(m.T)
+        extra = np.trace(pi_mt @ d.T @ pi_m @ d) / (n * t)
+        oracle = 0.8 / math.sqrt(1.2**2 + extra)
+        assert sigma_theta(inst) == pytest.approx(oracle, rel=1e-10)
+        assert sigma_theta(inst) <= 0.8 / 1.2 + 1e-12
 
 
 def test_ci_star_exact_widths():
