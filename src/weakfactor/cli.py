@@ -22,7 +22,6 @@ from functools import partial
 
 from . import __version__, experiments
 from .entrywise import DEFAULT_C0, calibrate_c0
-from .linalg import singular_value_memo
 from .montecarlo import (
     ExperimentError,
     ResultTable,
@@ -436,9 +435,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        # One memo for the whole command: its experiments share ground truths.
-        with singular_value_memo():
-            return _SUBCOMMANDS[args.subcommand][0](cfg)
+        return _SUBCOMMANDS[args.subcommand][0](cfg)
     except (ExperimentError, ValueError, OSError) as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
         return 1

@@ -38,7 +38,7 @@ from .entrywise import (
     estimate_m11,
     naive_pretest_ci,
 )
-from .linalg import single_blas_thread, singular_value_memo, spectral_norm
+from .linalg import single_blas_thread, spectral_norm
 from .model import (
     DEFAULT_SEED,
     FactorInstance,
@@ -499,10 +499,9 @@ def lr_power_check(
         grid=({"n": n, "T": t, "arm": "null"}, {"n": n, "T": t, "arm": "alt"}),
         generator_params={"tau": tau, "kappa": kappa, "alpha": alpha},
     )
-    # Validating the pair runs dense SVDs outside the engine; cap BLAS as the
-    # engine does, or idle BLAS threads spin on the other cores.  The engine's
-    # builds of the two arms reuse this build's decompositions.
-    with single_blas_thread(), singular_value_memo():
+    # Validating the pair runs dense linear algebra outside the engine; cap
+    # BLAS as the engine does, or idle BLAS threads spin on the other cores.
+    with single_blas_thread():
         pair = rank_one_testing_pair(n, t, tau, kappa, alpha)
         table = run_experiment(spec, workers)
     null_stats, alt_stats = (np.array([r.estimate for r in table.ok_rows(gi)]) for gi in (0, 1))

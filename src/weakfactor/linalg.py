@@ -29,12 +29,12 @@ inside or near the noise bulk, where Lanczos converges slowly.
 
 Ground-truth validation (instance construction, membership checks and the
 two-point pairs) takes every singular-value spectrum it needs from
-:func:`singular_values`, a values-only full SVD.  Inside a
-:func:`singular_value_memo` scope each distinct matrix is decomposed once:
-a matrix with the same shape and bytes as one decomposed earlier in the
-scope gets the earlier, read-only result.  run_experiment opens the scope
-around its ground-truth builds, so the two arms of a two-point pair share
-their decompositions; outside a scope every call decomposes.
+:func:`singular_values`.  Every ground truth built here has rank at most 2,
+so that function first tries a randomized range finder of width 4 with an
+explicit residual certificate: O(nT) work instead of the O(nT min(n, T)) of
+a full SVD.  Any matrix it cannot certify, among them every matrix of
+rank 5 or more, gets the full values-only SVD, so the rank decisions built
+on these spectra are those of the full SVD.
 
 numpy and scipy each bundle their own OpenBLAS with its own thread pool.
 :func:`single_blas_thread` caps both at one thread; replications run under
@@ -45,15 +45,14 @@ never compete for the cores whoever calls them.
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import ctypes
 import functools
 import glob
-import hashlib
 import os
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg.blas
 import scipy.linalg.cython_lapack
 import scipy.linalg.lapack
 
@@ -66,7 +65,6 @@ __all__ = [
     "trace_product",
     "numerical_rank",
     "singular_values",
-    "singular_value_memo",
     "single_blas_thread",
     "RANK_RTOL",
 ]
@@ -154,15 +152,18 @@ def single_blas_thread():
             set_(count)
 
 
-def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """(b, e) with b = a 2**-e, e the frexp exponent of max|a|.
+def _scaled(a: np.ndarray, top: float | None = None) -> tuple[np.ndarray, int]:
+    """(b, e) with b = a 2**-e, e the frexp exponent of top = max|a|.
 
     The largest entry of b lies in [1/2, 1), so neither b b' nor a Krylov
     recurrence on b overflows or underflows whatever the scale of `a`; the
     singular values of b are those of `a` times 2**-e.  Scaled with ldexp
-    rather than by 2.0**-e, which overflows when max|a| is subnormal.
+    rather than by 2.0**-e, which overflows when max|a| is subnormal.  A
+    caller that has already scanned `a` for max|a| passes it as `top`.
     """
-    e = int(np.frexp(np.max(np.abs(a)))[1])
+    if top is None:
+        top = np.max(np.abs(a))
+    e = int(np.frexp(top)[1])
     return np.ldexp(a, -e), e
 
 
@@ -284,7 +285,7 @@ def svd_truncated(a, k: int) -> SvdResult:
 
 # spectral_norm's Krylov route: the shorter side from which it is taken, its
 # step cap, the residual tolerance of its certificate, and the seed of its
-# start vector.
+# start vector (also that of singular_values' sketch).
 _KRYLOV_MIN = 200
 _KRYLOV_STEPS = 30
 _KRYLOV_RTOL = 1e-12
@@ -292,10 +293,15 @@ _KRYLOV_SEED = 20191023
 
 
 @functools.lru_cache(maxsize=8)
-def _krylov_start(t: int) -> np.ndarray:
-    """Read-only unit start vector of length t, a fixed-seed Gaussian."""
-    v = np.random.default_rng(_KRYLOV_SEED).standard_normal(t)
-    v /= np.linalg.norm(v)
+def _krylov_start(t: int, k: int = 1) -> np.ndarray:
+    """Read-only k x t block of fixed-seed Gaussian rows, each of unit norm.
+
+    Row 0 is spectral_norm's Krylov start vector and the same for every k;
+    singular_values' sketch takes the transpose of the k = 4 block.
+    """
+    v = np.random.default_rng(_KRYLOV_SEED).standard_normal((k, t))
+    for row in v:
+        row /= np.linalg.norm(row)
     v.flags.writeable = False
     return v
 
@@ -350,7 +356,7 @@ def _krylov_norm(b: np.ndarray) -> float | None:
     steps = _KRYLOV_STEPS
     us, vs = np.empty((steps, m)), np.empty((steps + 1, t))
     alpha, beta = np.empty(steps), np.empty(steps)
-    vs[0] = _krylov_start(t)
+    vs[0] = _krylov_start(t)[0]
     for j in range(steps):
         p = b @ vs[j]
         if j:
@@ -405,14 +411,21 @@ def spectral_norm(a) -> float:
     faster.  Both routes run on one BLAS thread on the power-of-two-scaled
     b of _scaled, so the result is a fixed function of the entries.
     """
-    a = _as_matrix(a)
-    if a.size == 0 or not a.any():
+    # One max|a| scan gives the scale and both checks: a NaN or an infinity
+    # makes the maximum non-finite.
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-D array, got shape {a.shape}")
+    top = np.max(np.abs(a)) if a.size else 0.0
+    if not np.isfinite(top):
+        raise ValueError("matrix contains non-finite entries")
+    if top == 0.0:
         return 0.0
     if a.shape[0] > a.shape[1]:
         a = a.T
     m = a.shape[0]
     with single_blas_thread():
-        b, e = _scaled(a)
+        b, e = _scaled(a, top)
         top = _krylov_norm(b) if m >= _KRYLOV_MIN else None
         if top is None:
             top = np.sqrt(_subset_eigh(b @ b.T, m - 1, m - 1, vectors=False)[0][0])
@@ -446,46 +459,50 @@ def trace_product(a, b) -> float:
     return float(np.sum(a * b))
 
 
-# Spectra decomposed in the current singular_value_memo scope of this
-# context, keyed on (shape, sha256 of the C-order bytes); None outside one.
-# New threads start from an empty context, so a memo never crosses threads.
-_MEMO: contextvars.ContextVar = contextvars.ContextVar("singular_value_memo", default=None)
-
-
-@contextlib.contextmanager
-def singular_value_memo():
-    """Reuse singular_values results for repeated matrices within the body.
-
-    A nested use shares the enclosing memo; the memo is dropped when the
-    outermost use exits, so nothing is kept between scopes.
-    """
-    if _MEMO.get() is not None:
-        yield
-        return
-    token = _MEMO.set({})
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
+# singular_values' sketch: its width, the largest rank it certifies, and the
+# residual tolerance of its certificate.
+_SKETCH_WIDTH = 4
+_SKETCH_RTOL = 1e-12
 
 
 def singular_values(a) -> np.ndarray:
-    """All singular values of `a`, nonincreasing, from the full SVD.
+    """All min(n, T) singular values of `a`, nonincreasing.
 
-    Inside a singular_value_memo scope the result is read-only and shared
-    by every call on a matrix with the same shape and entries.
+    When both sides exceed _SKETCH_WIDTH and every entry is finite, a
+    randomized range finder is tried first (Halko, Martinsson and Tropp,
+    arXiv:0909.4061, section 4.3), on the power-of-two-scaled b of _scaled:
+    with Omega the fixed-seed T x 4 block of _krylov_start, Q = qr(b Omega)
+    and B = Q'b, the residual rho = |b - QB|_F is formed explicitly (the
+    shortcut |b|_F^2 - |B|_F^2 cancels to about RANK_RTOL).  Weyl's
+    inequality and Eckart-Young give sigma_i(B) <= sigma_i(b) <=
+    sigma_i(B) + rho for i <= 4, and sigma_i(b) <= rho for i > 4.  When
+    rho <= _SKETCH_RTOL sigma_1(B), the result is sigma_1..4(B) followed by
+    zeros: every value, a tail zero included, lies at most rho below the
+    true one, so a zero in the tail means "at most rho", not exactly zero.
+    A matrix of rank 4 or less is certified with rho at rounding level, a
+    zero matrix with rho = 0.
+
+    Otherwise (rank 5 or more, a non-finite entry, a side of 4 or less, or
+    not 2-D) the result is np.linalg.svd(a, compute_uv=False), which also
+    decides how non-finite input fails.
     """
     a = np.asarray(a, dtype=float)
-    memo = _MEMO.get()
-    if memo is None:
-        return np.linalg.svd(a, compute_uv=False)
-    key = (a.shape, hashlib.sha256(np.ascontiguousarray(a)).digest())
-    s = memo.get(key)
-    if s is None:
-        s = np.linalg.svd(a, compute_uv=False)
-        s.flags.writeable = False
-        memo[key] = s
-    return s
+    if a.ndim == 2 and min(a.shape) > _SKETCH_WIDTH:
+        top = np.max(np.abs(a))
+        if np.isfinite(top):
+            with single_blas_thread():
+                b, e = _scaled(a, top)
+                q = np.linalg.qr(b @ _krylov_start(b.shape[1], _SKETCH_WIDTH).T)[0]
+                c = q.T @ b
+                s = np.linalg.svd(c, compute_uv=False)
+                # b - QB as one BLAS call written over b, which is a copy.
+                rho = np.linalg.norm(scipy.linalg.blas.dgemm(-1.0, c.T, q.T, 1.0, b.T,
+                                                             overwrite_c=True))
+            if rho <= _SKETCH_RTOL * s[0]:
+                out = np.zeros(min(a.shape))
+                out[:_SKETCH_WIDTH] = np.ldexp(s, e)
+                return out
+    return np.linalg.svd(a, compute_uv=False)
 
 
 def numerical_rank(a) -> int:

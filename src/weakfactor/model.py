@@ -6,12 +6,10 @@ A :class:`FactorInstance` is a low-rank mean matrix with an entry bound; a
 :func:`check_membership` turns the parameter-space definitions into checkable
 predicates with per-inequality slack reporting.
 
-Every check that needs singular values takes the full spectrum from
-:func:`weakfactor.linalg.singular_values`.  Inside a
-:func:`weakfactor.linalg.singular_value_memo` scope, which run_experiment
-opens around its ground-truth builds, a matrix decomposed earlier in the
-scope (say a mean that a pair constructor has just checked and now wraps in
-an instance) reuses that result; outside one, every check decomposes.
+Every check that needs singular values takes the spectrum from
+:func:`weakfactor.linalg.singular_values`, which certifies the leading four
+values of a matrix of rank 4 or less from a randomized sketch and takes a
+full SVD of any other; the rank decisions are those of the full SVD.
 """
 
 from __future__ import annotations

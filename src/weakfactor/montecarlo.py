@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import single_blas_thread, singular_value_memo
+from .linalg import single_blas_thread
 from .model import replication_rng
 
 __all__ = [
@@ -211,9 +211,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     """Run all replications; deterministic output regardless of worker count.
 
     Each grid point is built once, before any replication runs; one that
-    cannot be built raises :class:`ExperimentError`.  The builds share one
-    :func:`linalg.singular_value_memo` scope, so a matrix that several grid
-    points validate is decomposed once per call.  Builds and replications
+    cannot be built raises :class:`ExperimentError`.  Builds and replications
     run on one BLAS thread (:func:`linalg.single_blas_thread`) at every
     worker count, and `workers` is clamped to the number of cells and of
     cores, so workers never compete with BLAS threads for the cores.
@@ -227,14 +225,13 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     ]
     workers = min(workers, len(cells), os.cpu_count() or 1)
     with single_blas_thread():
-        with singular_value_memo():
-            points = []
-            for gi, grid_point in enumerate(spec.grid):
-                try:
-                    points.append(gen(grid_point, spec.generator_params))
-                except Exception as exc:
-                    raise ExperimentError(f"{spec.name}: grid point {gi} {grid_point} "
-                                          f"cannot be built: {type(exc).__name__}: {exc}") from exc
+        points = []
+        for gi, grid_point in enumerate(spec.grid):
+            try:
+                points.append(gen(grid_point, spec.generator_params))
+            except Exception as exc:
+                raise ExperimentError(f"{spec.name}: grid point {gi} {grid_point} "
+                                      f"cannot be built: {type(exc).__name__}: {exc}") from exc
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 records = list(pool.map(lambda c: _run_cell(spec, proc, points, *c), cells))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from weakfactor.entrywise import (
     DEFAULT_C0,
@@ -224,6 +224,14 @@ def _naive_pretest_reference(x, alpha=0.05, k_max=2):
     se = math.sqrt(sigma2 * (float(lhat[0, :] @ lhat[0, :]) + h_col))
     z = stats.norm.ppf(1.0 - alpha / 2.0)
     return value - z * se, value + z * se
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 0.001, 0.01, 0.05, 0.1, 0.2, 0.5, 0.9])
+def test_normal_quantile_equals_scipy_stats(alpha):
+    # naive_pretest_ci takes z from special.ndtri, the function that
+    # stats.norm.ppf evaluates, so that importing the package does not
+    # import scipy.stats.
+    assert special.ndtri(1.0 - alpha / 2.0) == stats.norm.ppf(1.0 - alpha / 2.0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

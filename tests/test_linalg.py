@@ -1,6 +1,7 @@
 import ctypes
 import sys
 import threading
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from weakfactor.model import FactorInstance
 from weakfactor.linalg import (
     max_abs_entry,
     numerical_rank,
-    singular_value_memo,
     singular_values,
     spectral_norm,
     svd_truncated,
@@ -259,39 +259,88 @@ def test_numerical_rank():
     assert numerical_rank(np.eye(4)) == 4
 
 
-def test_singular_value_memo_reuses_read_only_spectra(svd_values_calls):
-    a = RNG.standard_normal((5, 4))
-    with singular_value_memo():
+def _low_rank(shape, rank, seed, exponent=0):
+    # A random rank-`rank` matrix times 2**exponent.
+    rng = np.random.default_rng(seed)
+    return np.ldexp(rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1])),
+                    exponent)
+
+
+def _full_size(calls):
+    # Values-only SVDs larger than the sketch's 4 x T.
+    return [shape for shape in calls if min(shape) > linalg._SKETCH_WIDTH]
+
+
+# Within 2 * _SKETCH_RTOL * sigma_1 of the full SVD: the certificate allows
+# rho <= _SKETCH_RTOL * sigma_1, and rounding in either decomposition adds a
+# few eps * sigma_1.
+@given(n=st.integers(1, 60), t=st.integers(1, 50), rank=st.integers(0, 4),
+       exponent=st.integers(-300, 300), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_singular_values_sketch_matches_full_svd(n, t, rank, exponent, seed):
+    a = _low_rank((n, t), rank, seed, exponent)
+    ref = np.linalg.svd(a, compute_uv=False)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return svd(x, *args, **kwargs)
+
+    with unittest.mock.patch.object(np.linalg, "svd", counting_svd):
         s = singular_values(a)
-        assert singular_values(a.copy()) is s
-        assert singular_values(np.asfortranarray(a)) is s
-        with singular_value_memo():
-            assert singular_values(a) is s
-        assert len(svd_values_calls) == 1
-        assert not s.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            s[0] = 0.0
-    # The memo is dropped with its outermost scope.
-    outside = singular_values(a)
-    assert len(svd_values_calls) == 2
-    assert outside is not s and outside.flags.writeable
-    assert np.array_equal(outside, s)
+    assert s.shape == ref.shape
+    assert np.all(np.abs(s - ref) <= 2 * linalg._SKETCH_RTOL * (ref[0] if ref.size else 0.0))
+    assert np.all(np.diff(s) <= 0)
+    # Both sides above 4: the sketch's 4 x t SVD certifies and no full SVD
+    # follows.  Otherwise the full SVD is taken directly.
+    assert calls == ([(4, t)] if min(n, t) > 4 else [(n, t)])
 
 
-def test_singular_value_memo_decomposes_a_matrix_changed_at_one_entry(svd_values_calls):
-    m = RNG.standard_normal((6, 2)) @ RNG.standard_normal((2, 5))
-    kappa = 2 * float(np.max(np.abs(m))) + 2.0
-    with singular_value_memo():
-        FactorInstance(m, kappa)
-        nudged = m.copy()
-        nudged[0, 0] = np.nextafter(m[0, 0], np.inf)
-        FactorInstance(nudged, kappa)
-        rank_three = m.copy()
-        rank_three[0, 0] += 1.0
+@pytest.mark.parametrize("a", [
+    np.random.default_rng(6).standard_normal((30, 20)),
+    _low_rank((30, 20), 5, 7),
+], ids=["gaussian", "rank5"])
+def test_singular_values_falls_back_to_the_full_svd(a, svd_values_calls):
+    s = singular_values(a)
+    assert svd_values_calls == [(4, 20), (30, 20)]
+    assert np.array_equal(s, np.linalg.svd(a, compute_uv=False))
+
+
+def test_singular_values_non_finite_fails_as_the_full_svd():
+    a = _low_rank((10, 8), 1, 8)
+    a[2, 3] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        singular_values(a)
+    a[2, 3] = np.inf
+    assert np.all(np.isnan(singular_values(a)))
+    with pytest.raises(ValueError, match="non-finite"):
+        numerical_rank(a)
+
+
+def test_numerical_rank_sketch_and_fallback(svd_values_calls):
+    for rank in range(5):
+        assert numerical_rank(_low_rank((40, 30), rank, rank)) == rank
+    assert _full_size(svd_values_calls) == []
+    assert numerical_rank(_low_rank((40, 30), 5, 9)) == 5
+    assert numerical_rank(np.eye(30)) == 30
+    assert _full_size(svd_values_calls) == [(40, 30), (30, 30)]
+
+
+@pytest.mark.parametrize("ratio, accepted", [(1e-7, False), (1e-10, True)])
+def test_factor_instance_rank_decision_at_the_edges(ratio, accepted, svd_values_calls):
+    # sigma = (1, 0.5, ratio) on orthonormal factors: sigma_3 is 10 times
+    # RANK_RTOL * sigma_1 above the cutoff, or 100 times below it.
+    rng = np.random.default_rng(10)
+    u = np.linalg.qr(rng.standard_normal((50, 3)))[0]
+    v = np.linalg.qr(rng.standard_normal((40, 3)))[0]
+    m = 30.0 * (u * [1.0, 0.5, ratio]) @ v.T
+    if accepted:
+        FactorInstance(m, kappa=10.0)
+    else:
         with pytest.raises(ValueError, match="numerical rank > 2"):
-            FactorInstance(rank_three, kappa)
-        assert len(svd_values_calls) == 3
-        assert np.array_equal(singular_values(rank_three), np.linalg.svd(rank_three, compute_uv=False))
+            FactorInstance(m, kappa=10.0)
+    assert svd_values_calls == [(4, 40)]
 
 
 def test_non_finite_rejected():

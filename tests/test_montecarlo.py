@@ -3,7 +3,6 @@ import glob
 import json
 import math
 import os
-import threading
 
 import numpy as np
 import pytest
@@ -32,18 +31,6 @@ def _gen_trivial(grid_point, params):
     if grid_point.get("unbuildable"):
         raise ValueError("no instance at this grid point")
     BUILT.append(grid_point)
-    return 0.0, lambda rng: rng.standard_normal(3)
-
-
-@register_generator("_test_memo_probe")
-def _gen_memo_probe(grid_point, params):
-    # Decompose this experiment's matrix, wait until the other experiment
-    # has decomposed its own, then ask for both spectra again.
-    own, other = (np.full((3, 3), float(v)) for v in (grid_point["value"], params["other"]))
-    linalg.singular_values(own)
-    params["barrier"].wait()
-    linalg.singular_values(other)
-    linalg.singular_values(own)
     return 0.0, lambda rng: rng.standard_normal(3)
 
 
@@ -178,28 +165,6 @@ def test_unbuildable_grid_point_raises_before_any_replication():
                        "ValueError: no instance at this grid point"):
         run_experiment(_spec(procedure="_test_recorded", grid=grid), workers=2)
     assert PROCEDURE_CALLS == []
-
-
-def test_concurrent_experiments_keep_their_own_memo(svd_values_calls):
-    # Each experiment decomposes its own matrix once and the other's once:
-    # 4 calls.  A memo shared between the threads would make it 2.
-    barrier = threading.Barrier(2, timeout=30)
-    tables = {}
-
-    def run(value, other):
-        spec = _spec(generator="_test_memo_probe", replications=1,
-                     grid=({"n": 3, "T": 3, "value": value},),
-                     generator_params={"other": other, "barrier": barrier})
-        tables[value] = run_experiment(spec)
-
-    threads = [threading.Thread(target=run, args=args) for args in ((1, 2), (2, 1))]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-    assert sorted(tables) == [1, 2]
-    assert len(svd_values_calls) == 4
 
 
 def _pool_threads():
