@@ -185,9 +185,15 @@ def panel_shift_pair(m1, d1, c: float) -> TwoPointPair:
     scale = max(np.linalg.norm(m1), np.linalg.norm(d1), 1.0)
     if numerical_rank(m1) != 1 or numerical_rank(d1) != 1:
         raise ValueError("M1 and D1 must both be rank one")
+    # For rank-one M1 = a b' and D1 = c d', M1'D1 = (a'c) b d' and
+    # M1 D1' = (b'd) a c'.  Their largest entries pair the columns (and the
+    # rows) that hold each matrix's largest entry, so two inner products
+    # stand in for the two dense n x n products.
+    i, j = np.unravel_index(np.argmax(np.abs(m1)), m1.shape)
+    k, l = np.unravel_index(np.argmax(np.abs(d1)), d1.shape)
     if (
-        np.max(np.abs(m1.T @ d1)) > 1e-8 * scale**2
-        or np.max(np.abs(m1 @ d1.T)) > 1e-8 * scale**2
+        abs(m1[:, j] @ d1[:, l]) > 1e-8 * scale**2
+        or abs(m1[i, :] @ d1[k, :]) > 1e-8 * scale**2
     ):
         raise ValueError("M1 and D1 must be orthogonal (M'D = 0 and MD' = 0)")
 
@@ -325,16 +331,24 @@ def tv_discrepancy_upper(null_m, alt_m) -> float:
 def likelihood_ratio_stat(x, null_m, alt_m) -> float:
     """Log likelihood ratio of alt vs null on the observed entries.
 
-    Gaussian unit-variance model with entry (1,1) excluded:
-    sum over observed (i,t) of [(x - null)^2 - (x - alt)^2] / 2.
+    Gaussian unit-variance model with entry (1,1) excluded: the sum over
+    observed (i,t) of [(x - null)^2 - (x - alt)^2] / 2, computed in one pass
+    over flat indices 1.. as <d, x - (null + alt)/2> with d = alt - null.
+    That form has no cancellation between two large sums of squares.  Entry
+    (1,1), flat index 0, is never read; a non-finite entry anywhere else
+    raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     null_m = np.asarray(null_m, dtype=float)
     alt_m = np.asarray(alt_m, dtype=float)
     if not x.shape == null_m.shape == alt_m.shape:
         raise ValueError("shapes must match")
-    # Zeroing entry (1,1) in data and both means makes its residuals vanish,
-    # which is exactly the exclusion of the unobserved entry.
-    r_null = zero_entry_11(x) - zero_entry_11(null_m)
-    r_alt = zero_entry_11(x) - zero_entry_11(alt_m)
-    return float(0.5 * (np.sum(r_null**2) - np.sum(r_alt**2)))
+    if x.ndim != 2:
+        raise ValueError(f"expected a 2-D array, got shape {x.shape}")
+    x_o, null_o, alt_o = (a.ravel()[1:] for a in (x, null_m, alt_m))
+    stat = float((alt_o - null_o) @ (x_o - 0.5 * (null_o + alt_o)))
+    # A non-finite entry makes the inner product non-finite, so the entries
+    # are scanned only then.
+    if not math.isfinite(stat) and not all(np.isfinite(a).all() for a in (x_o, null_o, alt_o)):
+        raise ValueError("matrix contains non-finite entries")
+    return stat

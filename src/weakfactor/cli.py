@@ -6,7 +6,10 @@ the keyword defaults of the subcommand's builder, then a config file (INI
 style, a ``[common]`` section plus one section per subcommand, each value
 parsed by its flag's own type and choices), then command-line flags.
 
-Exit codes: 0 on success, 1 on experiment failure, 2 on usage errors.
+Exit codes: 0 on success, 1 on experiment failure (more than 10% of a grid
+point's replications raised), 2 on usage errors and invalid input, a grid
+point that cannot be built included; invalid input stops before any
+replication runs.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from . import __version__, experiments
 from .entrywise import DEFAULT_C0, calibrate_c0
 from .montecarlo import (
     ExperimentError,
+    InvalidGridPoint,
     ResultTable,
     rate_slope,
     run_experiment,
@@ -436,6 +440,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return _SUBCOMMANDS[args.subcommand][0](cfg)
+    except InvalidGridPoint as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ExperimentError, ValueError, OSError) as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
         return 1

@@ -11,8 +11,9 @@ The likelihood-ratio power and noise-norm checks, like
 :func:`weakfactor.entrywise.calibrate_c0`, run as specs through
 :func:`~weakfactor.montecarlo.run_experiment` and reduce its error-free rows;
 more than 10% error rows at a grid point abort them with ExperimentError.
-Only the information-theory oracle cross-checks, one vectorized batch each,
-run outside the engine, on one BLAS thread.
+Only the information-theory oracle cross-checks run outside the engine, on
+one BLAS thread, each reading its RNG stream in fixed blocks of
+replications.
 """
 
 from __future__ import annotations
@@ -501,9 +502,11 @@ def lr_power_check(
     )
     # Validating the pair runs dense linear algebra outside the engine; cap
     # BLAS as the engine does, or idle BLAS threads spin on the other cores.
+    # The engine builds the pair first, so a pair that cannot be built stops
+    # there, as InvalidGridPoint, before any replication.
     with single_blas_thread():
-        pair = rank_one_testing_pair(n, t, tau, kappa, alpha)
         table = run_experiment(spec, workers)
+        pair = rank_one_testing_pair(n, t, tau, kappa, alpha)
     null_stats, alt_stats = (np.array([r.estimate for r in table.ok_rows(gi)]) for gi in (0, 1))
     critical = float(np.quantile(null_stats, 1.0 - alpha))
     power = float(np.mean(alt_stats > critical))
@@ -548,6 +551,18 @@ def noise_norm_check(
     }
 
 
+# Replications per block of the oracle Monte Carlo.  Each stream is drawn in
+# blocks of this many, so the draws held at once stay a few MB at any `reps`;
+# chunked standard_normal calls give exactly the draws of one call.
+_ORACLE_BLOCK = 8192
+
+
+def _blocks(reps: int):
+    """(start, stop) of each _ORACLE_BLOCK-sized block of range(reps)."""
+    for start in range(0, reps, _ORACLE_BLOCK):
+        yield start, min(start + _ORACLE_BLOCK, reps)
+
+
 @single_blas_thread()
 def oracle_checks(
     reps: int = 100_000,
@@ -562,6 +577,12 @@ def oracle_checks(
     the alternative, the chi-square cross moment against the (trimmed)
     empirical second moment of the likelihood ratio, and the total-variation
     upper bound against the empirical mean absolute deviation of the ratio.
+
+    Each check reads its own RNG stream in blocks of _ORACLE_BLOCK
+    replications and keeps one value per replication.  Every per-replication
+    value is a fixed function of that replication's draws, computed without
+    BLAS reductions whose rounding depends on how many rows share a call, so
+    the result does not depend on the block size.
     """
     if reps < 2:
         raise ValueError(f"reps must be >= 2 for Monte Carlo standard errors, got {reps}")
@@ -582,11 +603,15 @@ def oracle_checks(
     inv1 = np.linalg.inv(block1)
     inv2 = np.linalg.inv(block2)
     logdet = math.log(np.linalg.det(block1) / np.linalg.det(block2))
-    draws = rng.standard_normal((reps, n * t, 2)) @ chol2.T
-    # log ratio factorizes over the nT iid 2-vectors.
-    quad1 = np.einsum("rki,ij,rkj->r", draws, inv1, draws)
-    quad2 = np.einsum("rki,ij,rkj->r", draws, inv2, draws)
-    log_ratio = 0.5 * (quad1 - quad2) + 0.5 * n * t * logdet
+    log_ratio = np.empty(reps)
+    for lo, hi in _blocks(reps):
+        draws = rng.standard_normal((hi - lo, n * t, 2)) @ chol2.T
+        # The log ratio factorizes over the nT iid 2-vectors: each quadratic
+        # form is <inv, S> with S the replication's 2 x 2 sum of products.
+        gram = draws.transpose(0, 2, 1) @ draws
+        quad1 = np.einsum("rij,ij->r", gram, inv1)
+        quad2 = np.einsum("rij,ij->r", gram, inv2)
+        log_ratio[lo:hi] = 0.5 * (quad1 - quad2) + 0.5 * n * t * logdet
     kl_mc = float(np.mean(log_ratio))
     results["kl"] = {
         "exact": kl_exact,
@@ -601,19 +626,18 @@ def oracle_checks(
     pair = rank_one_testing_pair(
         n, t, tau=math.sqrt(n * t) / 12.0, kappa=1.0, alpha=0.05
     )
-    null_m, alt_m = pair.null_instance.mean, pair.alt_instance.mean
+    # Flat indices 1.. are the observed entries, (1,1) being flat index 0.
+    null_m, alt_m = pair.null_instance.mean.ravel(), pair.alt_instance.mean.ravel()
+    null_o, alt_o = null_m[1:], alt_m[1:]
+    diff = alt_o - null_o
     rng = replication_rng(seed, 1)
-    noise = rng.standard_normal((reps, n, t))
-    x = null_m[None, :, :] + noise
-    obs = np.ones((n, t), dtype=bool)
-    obs[0, 0] = False
-    diff = (alt_m - null_m)[obs]
-    resid = x[:, obs] - null_m[obs][None, :]
-    log_lr = resid @ diff - 0.5 * float(diff @ diff)
+    log_lr = np.empty(reps)
+    for lo, hi in _blocks(reps):
+        x = null_m + rng.standard_normal((hi - lo, n * t))
+        log_lr[lo:hi] = np.einsum("ri,i->r", x[:, 1:] - null_o, diff)
+    log_lr -= 0.5 * float(diff @ diff)
     lr = np.exp(log_lr)
-    cross_exact = chi_square_cross(
-        null_m[obs], alt_m[obs], alt_m[obs]
-    )
+    cross_exact = chi_square_cross(null_o, alt_o, alt_o)
     cut = np.quantile(lr**2, 0.9999)
     second_trimmed = float(np.mean(np.minimum(lr**2, cut)))
     second_se = float(np.std(np.minimum(lr**2, cut), ddof=1) / math.sqrt(reps))

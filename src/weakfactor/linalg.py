@@ -92,6 +92,21 @@ def _as_matrix(a) -> np.ndarray:
     return a
 
 
+def _as_matrix_top(a) -> tuple[np.ndarray, float]:
+    """(a, max|a|) with the checks of _as_matrix, from one scan of max|a|.
+
+    A NaN or an infinity makes the maximum non-finite; an empty matrix has
+    max 0.  The maximum is also the scale that _scaled takes.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-D array, got shape {a.shape}")
+    top = np.max(np.abs(a)) if a.size else 0.0
+    if not np.isfinite(top):
+        raise ValueError("matrix contains non-finite entries")
+    return a, top
+
+
 def _orient_columns(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Deterministic sign convention: make the largest-magnitude entry of each
     # left singular vector positive; flip the paired right vector to match.
@@ -152,17 +167,15 @@ def single_blas_thread():
             set_(count)
 
 
-def _scaled(a: np.ndarray, top: float | None = None) -> tuple[np.ndarray, int]:
+def _scaled(a: np.ndarray, top: float) -> tuple[np.ndarray, int]:
     """(b, e) with b = a 2**-e, e the frexp exponent of top = max|a|.
 
     The largest entry of b lies in [1/2, 1), so neither b b' nor a Krylov
     recurrence on b overflows or underflows whatever the scale of `a`; the
     singular values of b are those of `a` times 2**-e.  Scaled with ldexp
-    rather than by 2.0**-e, which overflows when max|a| is subnormal.  A
-    caller that has already scanned `a` for max|a| passes it as `top`.
+    rather than by 2.0**-e, which overflows when max|a| is subnormal.  Every
+    caller has already scanned `a` for max|a| and passes it as `top`.
     """
-    if top is None:
-        top = np.max(np.abs(a))
     e = int(np.frexp(top)[1])
     return np.ldexp(a, -e), e
 
@@ -231,7 +244,7 @@ def _subset_eigh(gram: np.ndarray, lo: int, hi: int, vectors: bool):
     columns (else None).  Bitwise equal to scipy.linalg.eigh(gram,
     subset_by_index=[lo, hi], check_finite=False), but the solve runs
     without the GIL.  Reads the lower triangle of a Fortran-order copy; like
-    check_finite=False, it assumes finite entries (_as_matrix checks them).
+    check_finite=False, it assumes finite entries (its callers check them).
     """
     m = gram.shape[0]
     if gram.shape != (m, m) or not 0 <= lo <= hi < m:
@@ -264,7 +277,7 @@ def svd_truncated(a, k: int) -> SvdResult:
     Returns orthonormal U, V and nonincreasing singular values.  k may equal
     min(n, T), in which case the full decomposition is returned.
     """
-    a = _as_matrix(a)
+    a, top = _as_matrix_top(a)
     kmax = min(a.shape)
     if not 1 <= k <= kmax:
         raise ValueError(f"k={k} out of range [1, {kmax}]")
@@ -273,7 +286,7 @@ def svd_truncated(a, k: int) -> SvdResult:
         a = a.T
     m = a.shape[0]
     with single_blas_thread():
-        b = _scaled(a)[0]
+        b = _scaled(a, top)[0]
         q = _subset_eigh(b @ b.T, m - k, m - 1, vectors=True)[1]
         ub, s, vt = np.linalg.svd(q.T @ a, full_matrices=False)
     u, v = q @ ub, vt.T
@@ -411,14 +424,7 @@ def spectral_norm(a) -> float:
     faster.  Both routes run on one BLAS thread on the power-of-two-scaled
     b of _scaled, so the result is a fixed function of the entries.
     """
-    # One max|a| scan gives the scale and both checks: a NaN or an infinity
-    # makes the maximum non-finite.
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {a.shape}")
-    top = np.max(np.abs(a)) if a.size else 0.0
-    if not np.isfinite(top):
-        raise ValueError("matrix contains non-finite entries")
+    a, top = _as_matrix_top(a)
     if top == 0.0:
         return 0.0
     if a.shape[0] > a.shape[1]:
@@ -434,8 +440,7 @@ def spectral_norm(a) -> float:
 
 def max_abs_entry(a) -> float:
     """Entrywise sup norm."""
-    a = _as_matrix(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(_as_matrix_top(a)[1])
 
 
 def zero_entry_11(a) -> np.ndarray:

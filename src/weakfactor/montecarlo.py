@@ -28,6 +28,7 @@ __all__ = [
     "GridSummary",
     "ResultTable",
     "ExperimentError",
+    "InvalidGridPoint",
     "register_generator",
     "register_procedure",
     "get_generator",
@@ -53,6 +54,10 @@ MAX_ERROR_FRACTION = 0.10
 
 class ExperimentError(RuntimeError):
     pass
+
+
+class InvalidGridPoint(ExperimentError):
+    """A grid point that cannot be built: invalid input, before any replication."""
 
 
 def register_generator(name: str):
@@ -211,10 +216,12 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     """Run all replications; deterministic output regardless of worker count.
 
     Each grid point is built once, before any replication runs; one that
-    cannot be built raises :class:`ExperimentError`.  Builds and replications
-    run on one BLAS thread (:func:`linalg.single_blas_thread`) at every
-    worker count, and `workers` is clamped to the number of cells and of
-    cores, so workers never compete with BLAS threads for the cores.
+    cannot be built raises :class:`InvalidGridPoint`, and more than
+    MAX_ERROR_FRACTION error rows at a grid point raise
+    :class:`ExperimentError`.  Builds and replications run on one BLAS
+    thread (:func:`linalg.single_blas_thread`) at every worker count, and
+    `workers` is clamped to the number of cells and of cores, so workers
+    never compete with BLAS threads for the cores.
     """
     gen = get_generator(spec.generator)
     proc = get_procedure(spec.procedure)
@@ -230,8 +237,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
             try:
                 points.append(gen(grid_point, spec.generator_params))
             except Exception as exc:
-                raise ExperimentError(f"{spec.name}: grid point {gi} {grid_point} "
-                                      f"cannot be built: {type(exc).__name__}: {exc}") from exc
+                raise InvalidGridPoint(f"{spec.name}: grid point {gi} {grid_point} "
+                                       f"cannot be built: {type(exc).__name__}: {exc}") from exc
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 records = list(pool.map(lambda c: _run_cell(spec, proc, points, *c), cells))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from weakfactor.adversarial import (
@@ -14,7 +16,7 @@ from weakfactor.adversarial import (
     rank_one_testing_pair,
     tv_discrepancy_upper,
 )
-from weakfactor.experiments import panel_means
+from weakfactor.experiments import orthogonal_unit_pair, panel_means
 from weakfactor.linalg import zero_entry_11
 from weakfactor.model import FactorInstance, replication_rng, sample_observation
 
@@ -115,6 +117,29 @@ def test_panel_shift_pair_validation():
         panel_shift_pair(m1, d1, 5.0)
     with pytest.raises(ValueError):
         panel_shift_pair(m1, m1, 1.0)  # not orthogonal
+
+
+def test_panel_shift_pair_refuses_a_tilt_off_orthogonal():
+    # Tilting D1's left (then right) factor toward M1's by eps leaves both
+    # rank one but makes M1'D1 (then M1 D1') nonzero.  The dense products
+    # decide which tilts exceed the tolerance 1e-8 scale^2; eps = 4e-7 and
+    # 1e-7 put their largest entry at 2 and 1/2 times it.
+    n = t = 20
+    a, c = orthogonal_unit_pair(n)
+    b, d = orthogonal_unit_pair(t)
+    m1 = 10.0 * np.outer(a, b)
+    refused = 0
+    for eps in (1e-4, 4e-7, 1e-7):
+        for d1 in (10.0 * np.outer(c + eps * a, d), 10.0 * np.outer(c, d + eps * b)):
+            scale = max(np.linalg.norm(m1), np.linalg.norm(d1), 1.0)
+            dense = max(np.max(np.abs(m1.T @ d1)), np.max(np.abs(m1 @ d1.T)))
+            if dense > 1e-8 * scale**2:
+                refused += 1
+                with pytest.raises(ValueError, match="must be orthogonal"):
+                    panel_shift_pair(m1, d1, 1.0)
+            else:
+                assert panel_shift_pair(m1, d1, 1.0).info["kl"] == pytest.approx(0.5, abs=1e-10)
+    assert refused == 4
 
 
 def test_gaussian_kl_trivial_and_mean_shift():
@@ -235,3 +260,42 @@ def test_lr_moments_match_oracles_mc():
     cut = np.quantile(lr**2, 0.9999)
     second = np.minimum(lr**2, cut)
     assert abs(second.mean() - pair.info["chi2_cross"]) <= 3 * second.std(ddof=1) / math.sqrt(reps)
+
+
+def _two_sum_lr(x, null_m, alt_m):
+    # The definition: half the difference of the two residual sums of
+    # squares over the observed entries, and the larger of the two sums.
+    sq_null = np.sum((zero_entry_11(x) - zero_entry_11(null_m)) ** 2)
+    sq_alt = np.sum((zero_entry_11(x) - zero_entry_11(alt_m)) ** 2)
+    return 0.5 * (sq_null - sq_alt), max(sq_null, sq_alt)
+
+
+@given(n=st.integers(1, 8), t=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-3, 1e3))
+@settings(max_examples=100, deadline=None)
+def test_likelihood_ratio_stat_properties(n, t, seed, scale):
+    rng = np.random.default_rng(seed)
+    x, null_m, alt_m = (scale * rng.standard_normal((n, t)) for _ in range(3))
+    stat = likelihood_ratio_stat(x, null_m, alt_m)
+    expect, size = _two_sum_lr(x, null_m, alt_m)
+    assert abs(stat - expect) <= 1e-13 * size
+    # Swapping null and alternative flips the sign exactly.
+    assert likelihood_ratio_stat(x, alt_m, null_m) == -stat
+    # Entry (1,1) is never read, in the data or in either mean.
+    for hidden in (np.nan, np.inf, -np.inf):
+        for i in range(3):
+            mats = [x.copy(), null_m.copy(), alt_m.copy()]
+            mats[i][0, 0] = hidden
+            assert likelihood_ratio_stat(*mats) == stat
+
+
+@given(n=st.integers(1, 6), t=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       which=st.integers(0, 2), index=st.integers(1, 10**6),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+@settings(max_examples=100, deadline=None)
+def test_likelihood_ratio_stat_rejects_non_finite_observed_entry(n, t, seed, which, index, bad):
+    rng = np.random.default_rng(seed)
+    mats = [rng.standard_normal((n, t)) for _ in range(3)]
+    mats[which].ravel()[1 + index % (n * t - 1)] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        likelihood_ratio_stat(*mats)

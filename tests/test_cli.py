@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import weakfactor
-from weakfactor import __version__
+from weakfactor import __version__, montecarlo
 from weakfactor.cli import build_parser, main, resolve_config
 
 
@@ -164,13 +164,43 @@ def test_common_sizes_apply_only_where_read(tmp_path):
     assert resolved("entrywise-coverage")["T"] == 20
 
 
-def test_experiment_failure_exit_code(capsys):
-    # At n = T = 10 the hidden-entry pair has no room for its perturbation
-    # (tau0 = sqrt(nT)/24 < tau2): the first grid point cannot be built, and
-    # the run stops before any replication.
-    code = run_cli(["adaptivity-demo", "--n", "10", "--T", "10", "--reps", "5"])
-    assert code == 1
-    assert "grid point 0" in capsys.readouterr().err
+def _assert_invalid_grid_point(argv, grid_point, capsys, monkeypatch):
+    draws = []
+    monkeypatch.setattr(montecarlo, "replication_rng", lambda *key: draws.append(key))
+    assert run_cli(argv + ["--reps", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert f"grid point {grid_point}" in captured.err and "cannot be built" in captured.err
+    assert draws == [] and captured.out == ""  # no replication ran
+
+
+def test_experiment_failure_exit_code(capsys, monkeypatch):
+    # A grid point that cannot be built is invalid input: exit 2 before any
+    # replication runs.  At n = T = 10 the hidden-entry pair has no room for
+    # its perturbation (tau0 = sqrt(nT)/24 < tau2).
+    _assert_invalid_grid_point(["adaptivity-demo", "--n", "10", "--T", "10"], 0,
+                               capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("argv, grid_point", [
+    # The strongest point asks for tau = sqrt(nT), above kappa sqrt(nT).
+    (["entrywise-coverage", "--n", "20", "--T", "20", "--kappa", "0.5"], 2),
+    # tau = 5 lies above the testing pair's limit kappa sqrt(nT) / 12.
+    (["lower-bound-check", "--n", "20", "--T", "20", "--tau", "5"], 0),
+], ids=["entrywise-coverage", "lower-bound-check"])
+def test_invalid_grid_point_exit_code(argv, grid_point, capsys, monkeypatch):
+    _assert_invalid_grid_point(argv, grid_point, capsys, monkeypatch)
+
+
+def test_error_rows_abort_exit_code(capsys, monkeypatch):
+    # More than 10% of a grid point's replications raising is an experiment
+    # failure, not invalid input.
+    def failing(data, grid_point, params):
+        raise FloatingPointError("no estimate")
+
+    monkeypatch.setitem(montecarlo._PROCEDURES, "pca_point", failing)
+    assert run_cli(["entrywise-rate", "--n", "10", "--T", "10", "--reps", "3"]) == 1
+    assert "errored replications" in capsys.readouterr().err
 
 
 def test_lower_bound_check_prints_tv(tmp_path, capsys):

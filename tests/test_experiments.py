@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -197,6 +198,40 @@ def test_lr_power_check_small():
 def test_oracle_checks_rejects_one_rep():
     with pytest.raises(ValueError, match="reps must be >= 2"):
         ex.oracle_checks(reps=1)
+
+
+def test_oracle_checks_independent_of_block_size(monkeypatch):
+    # One block of 2000 against 286 blocks of 7, the last one short.  The
+    # per-replication values must agree too, not only the results: a change
+    # in the last bit of a log likelihood ratio near 0 rarely reaches the
+    # ratio, so each array handed to np.exp and np.mean is recorded.
+    def run(block):
+        seen = []
+        with monkeypatch.context() as patch:
+            patch.setattr(ex, "_ORACLE_BLOCK", block)
+            for name in ("exp", "mean"):
+                original = getattr(np, name)
+                patch.setattr(np, name, lambda a, *args, _f=original, **kwargs:
+                              seen.append(np.array(a)) or _f(a, *args, **kwargs))
+            return ex.oracle_checks(reps=2000, seed=4), seen
+
+    whole, seen_whole = run(ex._ORACLE_BLOCK)
+    blocked, seen_blocked = run(7)
+    assert blocked == whole
+    assert len(seen_blocked) == len(seen_whole)
+    assert all(np.array_equal(a, b) for a, b in zip(seen_whole, seen_blocked))
+
+
+def test_oracle_checks_memory_peak():
+    # The draws are held one block at a time: all of them at once took about
+    # 147 MB here.
+    tracemalloc.start()
+    try:
+        ex.oracle_checks(reps=50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48e6
 
 
 @pytest.mark.parametrize("reps", [0, -1])

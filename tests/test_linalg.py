@@ -352,7 +352,7 @@ def test_non_finite_rejected():
 
 def _scaled_gram(a):
     # The Gram matrix svd_truncated hands the subset eigensolver.
-    b = linalg._scaled(a)[0]
+    b = linalg._scaled(a, np.max(np.abs(a)))[0]
     return b @ b.T
 
 
