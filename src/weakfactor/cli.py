@@ -21,10 +21,11 @@ import json
 import math
 import os
 import sys
+import warnings
 from functools import partial
 
 from . import __version__, experiments
-from .entrywise import DEFAULT_C0, calibrate_c0
+from .entrywise import DefaultC0Warning, calibrate_c0
 from .montecarlo import (
     ExperimentError,
     InvalidGridPoint,
@@ -220,6 +221,12 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _recorded(cfg: dict) -> dict:
+    """The config an output records: all but the output path, so that one
+    command writes the same bytes wherever its output goes."""
+    return {key: value for key, value in cfg.items() if key != "out"}
+
+
 def _write_table(table: ResultTable, cfg: dict) -> None:
     out = cfg.get("out")
     if not out:
@@ -227,17 +234,17 @@ def _write_table(table: ResultTable, cfg: dict) -> None:
     if cfg["format"] == "csv":
         write_csv(table, out)
         with open(out + ".meta.json", "w") as fh:
-            json.dump(cfg, fh, indent=2, sort_keys=True)
+            json.dump(_recorded(cfg), fh, indent=2, sort_keys=True)
             fh.write("\n")
     else:
-        write_json_summary(table, out, config=cfg)
+        write_json_summary(table, out, config=_recorded(cfg))
 
 
 def _write_doc(doc: dict, cfg: dict) -> None:
     out = cfg.get("out")
     if not out:
         return
-    doc = {"config": cfg, **doc}
+    doc = {"config": _recorded(cfg), **doc}
     if cfg["format"] == "csv":
         import csv as _csv
 
@@ -313,13 +320,19 @@ def _cmd_entrywise_coverage(cfg: dict) -> int:
     if cfg["calibrate"]:
         # Calibrate on the spec's strong grid points; the last one is the weak point.
         taus = [gp["tau"] for gp in build().grid[:-1]]
-        cfg["c0"] = calibrate_c0(
-            cfg["n"], cfg["T"], cfg["kappa"], taus, reps=cfg["reps"], seed=cfg["seed"],
-            workers=cfg["threads"],
-        )
-        # calibrate_c0 warns and falls back to DEFAULT_C0 when no replication calibrated it.
-        note = "  (default: no replication above the detection threshold)"
-        print(f"calibrated C0 = {cfg['c0']:.3f}{note if cfg['c0'] == DEFAULT_C0 else ''}")
+        # calibrate_c0 warns when no replication calibrated C0 and it returns
+        # the default: record its warnings, label the value, then re-emit them.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DefaultC0Warning)
+            cfg["c0"] = calibrate_c0(
+                cfg["n"], cfg["T"], cfg["kappa"], taus, reps=cfg["reps"], seed=cfg["seed"],
+                workers=cfg["threads"],
+            )
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+        fell_back = any(issubclass(w.category, DefaultC0Warning) for w in caught)
+        note = "  (default: no replication above the detection threshold)" if fell_back else ""
+        print(f"calibrated C0 = {cfg['c0']:.3f}{note}")
     spec = build(c0=cfg["c0"])
     table = run_experiment(spec, workers=cfg["threads"])
     print(f"{spec.name}: R = {spec.replications}, C0 = {cfg['c0']:g}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .linalg import SvdResult, spectral_norm, svd_truncated, zero_entry_11
+from .linalg import _KRYLOV_RTOL, SvdResult, spectral_norm, svd_truncated
 from .model import DEFAULT_SEED
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "adaptive_ci_from_estimate",
     "naive_pretest_ci",
     "calibrate_c0",
+    "DefaultC0Warning",
     "DEFAULT_C0",
 ]
 
@@ -43,9 +44,17 @@ _PRETEST_K_MAX = 2
 # calibrate_c0() for a reproducible data-driven choice.
 DEFAULT_C0 = 8.0
 
+# The unit roundoff and the smallest normal float64, for the Frobenius screen.
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+_SMALLEST_NORMAL = np.finfo(float).tiny
+
 
 class DegenerateLoadingError(ValueError):
     """Raised when the estimated loading vector has no mass on rows 2..n."""
+
+
+class DefaultC0Warning(RuntimeWarning):
+    """Warned by calibrate_c0 when nothing calibrated and it returns DEFAULT_C0."""
 
 
 @dataclass(frozen=True)
@@ -69,7 +78,17 @@ class Interval:
 
 @dataclass(frozen=True)
 class EntrywiseEstimate:
-    """Truncated estimate together with the spectral statistic that drove it."""
+    """Truncated estimate together with the spectral statistic that drove it.
+
+    `spectral_stat` is sigma_1 of the data with entry (1,1) zeroed whenever
+    sigma_1 was computed, which every non-truncated estimate includes.  When
+    the Frobenius screen of :func:`adaptive_estimate_m11` decided the
+    truncation, it is that statistic instead: the Frobenius norm of the same
+    matrix as computed, an upper bound on sigma_1 (up to the screen's
+    rounding allowance) that lies at or below `threshold`.  Its last bits
+    may depend on how many threads the BLAS sums it on (run_experiment runs
+    each replication on one); the truncation decision does not.
+    """
 
     value: float
     spectral_stat: float
@@ -108,12 +127,51 @@ def adaptive_estimate_m11(x, kappa_bar: float) -> EntrywiseEstimate:
     """Spectral-threshold estimate: zero below the cutoff, PCA plug-in above.
 
     `kappa_bar` must upper-bound the true entry bound; this is the caller's
-    responsibility.
+    responsibility.  Entry (1,1) is zeroed before anything reads it, and a
+    non-finite entry elsewhere raises ValueError.
+
+    The test sigma_1 <= threshold is first screened with sigma_1 <= |z|_F,
+    where z is the data with entry (1,1) zeroed: s = sum z^2 takes one BLAS
+    pass, and when s is a finite normal float and sqrt(s) (1 + m) <= threshold
+    the estimate is truncated without any decomposition.  At kappa_bar = 1
+    and n = T the threshold is 4 sqrt(60 n), about 31 sqrt(n), while |z|_F
+    is about sqrt(n^2 + tau^2) for signal strength tau and unit noise; so
+    below n = T of about 960 the trivial branch costs one pass.  Where the
+    screen does not decide, sigma_1 is computed from z as before: a
+    non-finite entry makes s non-finite and raises in spectral_norm's scan
+    of z, and an s that overflowed or fell below the normal range is not
+    trusted.
+
+    The allowance m = 2 gamma_k + 1e-12, with gamma_k = k u / (1 - k u) for
+    the k = nT entries and the unit roundoff u, makes the screen decide as
+    ``spectral_norm(z) <= threshold`` does.  A finite s means no entry is
+    infinite or NaN and no square overflowed, and a sum of k squares is
+    computed to within gamma_k |z|_F^2 in any order (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, section 3.1).  Squares that
+    underflow lose at most k 2^-1075 in all, below k u s once s is normal,
+    so |z|_F <= sqrt(s) (1 + gamma_k) to first order.  spectral_norm in turn
+    exceeds |z|_F by at most gamma_k relative: on the Gram route the
+    rounding of bb' (products of length T) and dsyevr's backward error (a
+    modest multiple of p u for the shorter side p; even p^2 u is below
+    gamma_k) move sigma_1^2 by less than 2 gamma_k |z|_F^2, and the Krylov
+    route returns |bv| for a unit v, rounded in products of length T.  The
+    Krylov certificate's tolerance 1e-12 is kept on top as margin: it covers
+    the second-order terms and the screen's own few roundings.
     """
     x = np.asarray(x, dtype=float)
     n, t = x.shape
-    stat = spectral_norm(zero_entry_11(x))
     thr = spectral_threshold(kappa_bar, n, t)
+    z = np.array(x, order="C")
+    z[0, 0] = 0.0
+    flat = z.ravel()
+    with np.errstate(over="ignore"):
+        s = float(flat @ flat)
+    if _SMALLEST_NORMAL <= s < math.inf:
+        frob = math.sqrt(s)
+        gamma = z.size * _UNIT_ROUNDOFF / (1.0 - z.size * _UNIT_ROUNDOFF)
+        if frob * (1.0 + (2.0 * gamma + _KRYLOV_RTOL)) <= thr:
+            return EntrywiseEstimate(0.0, frob, thr, truncated=True)
+    stat = spectral_norm(z)
     if stat <= thr:
         return EntrywiseEstimate(0.0, stat, thr, truncated=True)
     return EntrywiseEstimate(estimate_m11(x), stat, thr, truncated=False)
@@ -125,7 +183,11 @@ def adaptive_ci(x, kappa_bar: float, c0: float = DEFAULT_C0) -> Interval:
     Below the spectral threshold no consistent estimate exists, so the trivial
     interval [-kappa_bar, kappa_bar] is returned (always valid).  Above it, the
     interval is centered at the plug-in estimate with half-width
-    (c0/2) min{sqrt(n+T)/spectral_stat, 1}.
+    (c0/2) min{sqrt(n+T)/spectral_stat, 1}, spectral_stat being sigma_1
+    there.  The branch is decided by :func:`adaptive_estimate_m11`: when
+    sigma_1 <= |X_-11|_F lies below the threshold with its rounding
+    allowance, as at every n = T below about 960, the trivial interval costs
+    one pass over the data and no decomposition.
     """
     x = np.asarray(x, dtype=float)
     n, t = x.shape
@@ -233,8 +295,12 @@ def calibrate_c0(
     quantile of those requirements across the grid.
 
     When no replication lies above the detection threshold (at n = T = 100
-    none does) nothing is calibrated: a RuntimeWarning names the grid and
-    the count, and DEFAULT_C0 is returned.
+    none does) nothing is calibrated: a DefaultC0Warning (a RuntimeWarning)
+    names the grid and the count, and DEFAULT_C0 is returned.  At such
+    sizes |X_-11|_F itself lies below the threshold, so the Frobenius screen
+    of :func:`adaptive_estimate_m11` truncates each replication in one pass;
+    the non-truncated replications, which set the result, carry sigma_1
+    itself, so the screen changes no calibrated value.
     """
     # Imported here because experiments imports this module; it also
     # registers the generator and procedure that the spec names.
@@ -269,6 +335,6 @@ def calibrate_c0(
         f"calibrate_c0 calibrated {calibrated} of {reps * len(spec.grid)} replications on the "
         f"grid n={n}, T={t}, tau={[gp['tau'] for gp in spec.grid]} (detection threshold "
         f"{spectral_threshold(kappa, n, t):.4g}); returning DEFAULT_C0 = {DEFAULT_C0:g}",
-        RuntimeWarning, stacklevel=2,
+        DefaultC0Warning, stacklevel=2,
     )
     return DEFAULT_C0

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import weakfactor
-from weakfactor import __version__, montecarlo
+from weakfactor import __version__, cli, montecarlo
 from weakfactor.cli import build_parser, main, resolve_config
 
 
@@ -261,9 +261,28 @@ def test_lower_bound_check_same_result_at_two_threads(tmp_path):
                         "--seed", "3", "--threads", str(threads), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["config"].pop("threads") == threads
-        assert doc["config"].pop("out") == str(out)
+        assert "out" not in doc["config"]
         docs.append(doc)
     assert docs[0] == docs[1]
+
+
+# Each command writes one file, or a CSV table beside its .meta.json.
+@pytest.mark.parametrize("argv, names", [
+    (["lower-bound-check", "--n", "20", "--T", "20", "--reps", "20"], ["out"]),
+    (["oracle-check", "--reps", "200"], ["out"]),
+    (["entrywise-coverage", "--n", "20", "--T", "20", "--reps", "2", "--format", "json"],
+     ["out"]),
+    (["entrywise-rate", "--n", "20", "--T", "20", "--reps", "2"], ["out", "out.meta.json"]),
+], ids=["lower-bound-check", "oracle-check", "json-summary", "csv-meta"])
+def test_output_bytes_independent_of_output_directory(argv, names, tmp_path):
+    written = []
+    for where in ("a", "b/deeper"):
+        folder = tmp_path / where
+        folder.mkdir(parents=True)
+        assert run_cli(argv + ["--seed", "4", "--out", str(folder / "out")]) == 0
+        written.append([(folder / name).read_bytes() for name in names])
+    assert written[0] == written[1]
+    assert str(tmp_path).encode() not in b"".join(written[0])
 
 
 # resolve_config at default flags, as the literal defaults table gave it.
@@ -314,6 +333,15 @@ def test_calibrate_reports_the_default_when_nothing_calibrates(capsys):
                         "--reps", "1"]) == 0
     out = capsys.readouterr().out
     assert "calibrated C0 = 8.000  (default: no replication above the detection threshold)" in out
+
+
+def test_calibrate_labels_a_calibrated_value_equal_to_the_default(monkeypatch, capsys):
+    # The label says whether anything calibrated, not whether C0 equals 8.
+    monkeypatch.setattr(cli, "calibrate_c0", lambda *args, **kwargs: 8.0)
+    assert run_cli(["entrywise-coverage", "--calibrate", "--n", "20", "--T", "20",
+                    "--reps", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "calibrated C0 = 8.000\n" in out and "(default" not in out
 
 
 # Every ground truth of a command (panel-rate's fixed-effect and regressor

@@ -6,9 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from weakfactor import entrywise, linalg
 from weakfactor.entrywise import (
     DEFAULT_C0,
     DegenerateLoadingError,
+    EntrywiseEstimate,
     Interval,
     adaptive_ci,
     adaptive_estimate_m11,
@@ -19,7 +21,7 @@ from weakfactor.entrywise import (
     naive_pretest_ci,
     spectral_threshold,
 )
-from weakfactor.linalg import svd_truncated
+from weakfactor.linalg import spectral_norm, svd_truncated, zero_entry_11
 from weakfactor.model import (
     FactorInstance,
     make_rank_one,
@@ -150,6 +152,101 @@ def test_adaptive_ci_branches_and_width():
 
     with pytest.raises(ValueError):
         adaptive_ci(strong, kappa_bar, c0=0.0)
+
+
+def _adaptive_unscreened(x, kappa_bar):
+    # adaptive_estimate_m11 without its Frobenius screen: sigma_1 decides.
+    x = np.asarray(x, dtype=float)
+    n, t = x.shape
+    stat = spectral_norm(zero_entry_11(x))
+    thr = spectral_threshold(kappa_bar, n, t)
+    if stat <= thr:
+        return EntrywiseEstimate(0.0, stat, thr, truncated=True)
+    return EntrywiseEstimate(estimate_m11(x), stat, thr, truncated=False)
+
+
+def _assert_decides_as_unscreened(x, kappa_bar):
+    est = adaptive_estimate_m11(x, kappa_bar)
+    ref = _adaptive_unscreened(x, kappa_bar)
+    assert est.truncated == ref.truncated
+    if not est.truncated:
+        assert est == ref  # bitwise: value, sigma_1 and threshold
+        return est
+    assert est.value == 0.0 and est.threshold == ref.threshold
+    assert est.spectral_stat <= est.threshold
+    # sigma_1 itself, or the Frobenius norm that screened it (>= sigma_1
+    # up to rounding).
+    assert est.spectral_stat >= ref.spectral_stat * (1.0 - 1e-12)
+    return est
+
+
+@given(n=st.integers(2, 60), t=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
+       signal=st.floats(0.0, 2.0), noise=st.sampled_from([0.0, 1e-3, 1.0]),
+       j=st.integers(-600, 600))
+@example(n=60, t=60, seed=0, signal=1.0, noise=1.0, j=300)  # sum of squares overflows
+@example(n=60, t=60, seed=0, signal=1.0, noise=1.0, j=-300)
+@example(n=40, t=7, seed=1, signal=0.9, noise=1e-3, j=-540)  # squares underflow
+@example(n=7, t=40, seed=2, signal=1.1, noise=1e-3, j=520)
+@settings(max_examples=200, deadline=None)
+def test_adaptive_screen_decides_as_sigma_1(n, t, seed, signal, noise, j):
+    # A rank-one signal at `signal` times the threshold plus noise, all
+    # scaled by 2**j; kappa_bar scales along for j >= 0, so that the
+    # threshold does too and both branches occur at every such scale.
+    rng = np.random.default_rng(seed)
+    kappa_bar = 1.0
+    thr = spectral_threshold(kappa_bar, n, t)
+    lu, f = rng.standard_normal(n), rng.standard_normal(t)
+    x = signal * thr * np.outer(lu / np.linalg.norm(lu), f / np.linalg.norm(f))
+    x += noise * rng.standard_normal((n, t))
+    _assert_decides_as_unscreened(np.ldexp(x, j), np.ldexp(kappa_bar, max(j, 0)))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 50), (60, 5), (100, 100)])
+@pytest.mark.parametrize("rel", [-1e-11, -1e-13, 0.0, 1e-13, 1e-11])
+def test_adaptive_screen_tight_on_rank_one(shape, rel):
+    # For a rank-one z, |z|_F = sigma_1: the screen's bound is tight, and
+    # sigma_1 within its allowance of the threshold must fall through.
+    n, t = shape
+    rng = np.random.default_rng(n * t)
+    thr = spectral_threshold(1.0, n, t)
+    lu, f = rng.standard_normal(n), rng.standard_normal(t)
+    lu[0] = 0.0  # z = x with (1,1) zeroed is exactly the rank-one matrix
+    x = thr * (1.0 + rel) * np.outer(lu / np.linalg.norm(lu), f / np.linalg.norm(f))
+    x[0, 0] = 5.0
+    est = _assert_decides_as_unscreened(x, 1.0)
+    if rel:  # at rel = 0 rounding decides, the same way on both paths
+        assert est.truncated == (rel < 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("scale", [1.0, 1e3])  # truncated, then not
+def test_adaptive_screen_non_finite_entries(bad, scale):
+    x = scale * random_rank_one(30, 20) + RNG.standard_normal((30, 20))
+    fuzzed = x.copy()
+    fuzzed[0, 0] = bad
+    assert adaptive_estimate_m11(fuzzed, 1.0) == _assert_decides_as_unscreened(x, 1.0)
+    for i, j in [(0, 1), (1, 0), (29, 19)]:
+        fuzzed = x.copy()
+        fuzzed[i, j] = bad
+        for estimate in (adaptive_estimate_m11, _adaptive_unscreened):
+            with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+                estimate(fuzzed, 1.0)
+
+
+def test_screened_call_makes_no_decomposition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("decomposed a screened matrix")
+
+    monkeypatch.setattr(entrywise, "spectral_norm", refuse)
+    monkeypatch.setattr(linalg, "_subset_eigh", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    weak = RNG.standard_normal((100, 100))
+    est = adaptive_estimate_m11(weak, kappa_bar=1.0)
+    assert est.truncated
+    assert est.spectral_stat == pytest.approx(np.linalg.norm(zero_entry_11(weak)), rel=1e-13)
+    assert adaptive_ci(weak, kappa_bar=1.0) == Interval(-1.0, 1.0)
+    with pytest.raises(AssertionError, match="decomposed"):
+        adaptive_estimate_m11(1000.0 * random_rank_one(100, 100), kappa_bar=1.0)
 
 
 def test_eigenvalue_ratio_khat_noiseless():
