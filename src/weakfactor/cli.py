@@ -163,6 +163,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         for key in vars(args) if key not in ("subcommand", "config")
     }
     sized = []  # where the subcommand itself was given n or T
+    c0_given = None  # where C0 was given, if it was
 
     if args.config:
         ini = configparser.ConfigParser()
@@ -181,6 +182,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
                     cfg[action.dest] = _ini_value(ini, section, key, action)
                     if section == sub and action.dest in ("n", "T"):
                         sized.append(f"{key} in [{sub}]")
+                    if action.dest == "c0":
+                        c0_given = f"{key} in [{section}]"
 
     for key, value in vars(args).items():
         if key in ("subcommand", "config") or value is None:
@@ -188,6 +191,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         cfg[key] = value
         if key in ("n", "T"):
             sized.append(f"--{key}")
+        if key == "c0":
+            c0_given = "--C0"
 
     # panel-rate and entrywise-rate --mode size run their builder's own
     # sizes: a size asked of them alone is refused, a [common] one ignored.
@@ -198,6 +203,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise ValueError(f"{' and '.join(sized)} cannot apply: this command runs its own "
                              f"sizes, n = T in {sizes}")
         cfg["n"] = cfg["T"] = None
+
+    # Calibration chooses C0, so a C0 given with it would be silently discarded.
+    if cfg.get("calibrate") and c0_given:
+        raise ValueError(f"{c0_given} cannot apply: calibration chooses C0")
 
     # The oracle checks report Monte Carlo standard errors, which need two draws.
     min_reps = 2 if sub == "oracle-check" else 1

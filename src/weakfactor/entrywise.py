@@ -127,17 +127,18 @@ def adaptive_estimate_m11(x, kappa_bar: float) -> EntrywiseEstimate:
     """Spectral-threshold estimate: zero below the cutoff, PCA plug-in above.
 
     `kappa_bar` must upper-bound the true entry bound; this is the caller's
-    responsibility.  Entry (1,1) is zeroed before anything reads it, and a
-    non-finite entry elsewhere raises ValueError.
+    responsibility.  Entry (1,1) is never read, and a non-finite entry
+    elsewhere raises ValueError.
 
     The test sigma_1 <= threshold is first screened with sigma_1 <= |z|_F,
-    where z is the data with entry (1,1) zeroed: s = sum z^2 takes one BLAS
-    pass, and when s is a finite normal float and sqrt(s) (1 + m) <= threshold
-    the estimate is truncated without any decomposition.  At kappa_bar = 1
+    where z is the data with entry (1,1) zeroed: s = sum z^2 is one BLAS
+    pass over flat indices 1.. of the data itself, with no copy, and when s
+    is a finite normal float and sqrt(s) (1 + m) <= threshold the estimate
+    is truncated without any decomposition.  At kappa_bar = 1
     and n = T the threshold is 4 sqrt(60 n), about 31 sqrt(n), while |z|_F
     is about sqrt(n^2 + tau^2) for signal strength tau and unit noise; so
     below n = T of about 960 the trivial branch costs one pass.  Where the
-    screen does not decide, sigma_1 is computed from z as before: a
+    screen does not decide, z is formed and sigma_1 computed from it: a
     non-finite entry makes s non-finite and raises in spectral_norm's scan
     of z, and an s that overflowed or fell below the normal range is not
     trusted.
@@ -145,7 +146,7 @@ def adaptive_estimate_m11(x, kappa_bar: float) -> EntrywiseEstimate:
     The allowance m = 2 gamma_k + 1e-12, with gamma_k = k u / (1 - k u) for
     the k = nT entries and the unit roundoff u, makes the screen decide as
     ``spectral_norm(z) <= threshold`` does.  A finite s means no entry is
-    infinite or NaN and no square overflowed, and a sum of k squares is
+    infinite or NaN and no square overflowed, and a sum of k - 1 squares is
     computed to within gamma_k |z|_F^2 in any order (Higham, Accuracy and
     Stability of Numerical Algorithms, 2002, section 3.1).  Squares that
     underflow lose at most k 2^-1075 in all, below k u s once s is normal,
@@ -161,16 +162,18 @@ def adaptive_estimate_m11(x, kappa_bar: float) -> EntrywiseEstimate:
     x = np.asarray(x, dtype=float)
     n, t = x.shape
     thr = spectral_threshold(kappa_bar, n, t)
-    z = np.array(x, order="C")
-    z[0, 0] = 0.0
-    flat = z.ravel()
+    # Flat index 0 is entry (1,1): the screen sums the other k - 1 squares
+    # of x itself, and the zeroed copy is made only when it does not decide.
+    rest = np.ravel(x)[1:]
     with np.errstate(over="ignore"):
-        s = float(flat @ flat)
+        s = float(rest @ rest)
     if _SMALLEST_NORMAL <= s < math.inf:
         frob = math.sqrt(s)
-        gamma = z.size * _UNIT_ROUNDOFF / (1.0 - z.size * _UNIT_ROUNDOFF)
+        gamma = x.size * _UNIT_ROUNDOFF / (1.0 - x.size * _UNIT_ROUNDOFF)
         if frob * (1.0 + (2.0 * gamma + _KRYLOV_RTOL)) <= thr:
             return EntrywiseEstimate(0.0, frob, thr, truncated=True)
+    z = np.array(x, order="C")
+    z[0, 0] = 0.0
     stat = spectral_norm(z)
     if stat <= thr:
         return EntrywiseEstimate(0.0, stat, thr, truncated=True)

@@ -473,12 +473,13 @@ _SKETCH_RTOL = 1e-12
 def singular_values(a) -> np.ndarray:
     """All min(n, T) singular values of `a`, nonincreasing.
 
-    When both sides exceed _SKETCH_WIDTH and every entry is finite, a
-    randomized range finder is tried first (Halko, Martinsson and Tropp,
-    arXiv:0909.4061, section 4.3), on the power-of-two-scaled b of _scaled:
-    with Omega the fixed-seed T x 4 block of _krylov_start, Q = qr(b Omega)
-    and B = Q'b, the residual rho = |b - QB|_F is formed explicitly (the
-    shortcut |b|_F^2 - |B|_F^2 cancels to about RANK_RTOL).  Weyl's
+    When both sides exceed _SKETCH_WIDTH, a randomized range finder is
+    tried first (Halko, Martinsson and Tropp, arXiv:0909.4061, section 4.3),
+    on the power-of-two-scaled b of _scaled, whose scale is the max|a| that
+    validated the input: with Omega the fixed-seed T x 4 block of
+    _krylov_start, Q = qr(b Omega) and B = Q'b, the residual
+    rho = |b - QB|_F is formed explicitly (the shortcut |b|_F^2 - |B|_F^2
+    cancels to about RANK_RTOL).  Weyl's
     inequality and Eckart-Young give sigma_i(B) <= sigma_i(b) <=
     sigma_i(B) + rho for i <= 4, and sigma_i(b) <= rho for i > 4.  When
     rho <= _SKETCH_RTOL sigma_1(B), the result is sigma_1..4(B) followed by
@@ -487,32 +488,30 @@ def singular_values(a) -> np.ndarray:
     A matrix of rank 4 or less is certified with rho at rounding level, a
     zero matrix with rho = 0.
 
-    Otherwise (rank 5 or more, a non-finite entry, a side of 4 or less, or
-    not 2-D) the result is np.linalg.svd(a, compute_uv=False), which also
-    decides how non-finite input fails.
+    Otherwise (rank 5 or more, or a side of 4 or less) the result is
+    np.linalg.svd(a, compute_uv=False).  Input that is not 2-D or has a
+    non-finite entry raises ValueError, as in the other kernels.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 2 and min(a.shape) > _SKETCH_WIDTH:
-        top = np.max(np.abs(a))
-        if np.isfinite(top):
-            with single_blas_thread():
-                b, e = _scaled(a, top)
-                q = np.linalg.qr(b @ _krylov_start(b.shape[1], _SKETCH_WIDTH).T)[0]
-                c = q.T @ b
-                s = np.linalg.svd(c, compute_uv=False)
-                # b - QB as one BLAS call written over b, which is a copy.
-                rho = np.linalg.norm(scipy.linalg.blas.dgemm(-1.0, c.T, q.T, 1.0, b.T,
-                                                             overwrite_c=True))
-            if rho <= _SKETCH_RTOL * s[0]:
-                out = np.zeros(min(a.shape))
-                out[:_SKETCH_WIDTH] = np.ldexp(s, e)
-                return out
+    a, top = _as_matrix_top(a)
+    if min(a.shape) > _SKETCH_WIDTH:
+        with single_blas_thread():
+            b, e = _scaled(a, top)
+            q = np.linalg.qr(b @ _krylov_start(b.shape[1], _SKETCH_WIDTH).T)[0]
+            c = q.T @ b
+            s = np.linalg.svd(c, compute_uv=False)
+            # b - QB as one BLAS call written over b, which is a copy.
+            rho = np.linalg.norm(scipy.linalg.blas.dgemm(-1.0, c.T, q.T, 1.0, b.T,
+                                                         overwrite_c=True))
+        if rho <= _SKETCH_RTOL * s[0]:
+            out = np.zeros(min(a.shape))
+            out[:_SKETCH_WIDTH] = np.ldexp(s, e)
+            return out
     return np.linalg.svd(a, compute_uv=False)
 
 
 def numerical_rank(a) -> int:
     """Number of singular values above RANK_RTOL * sigma_1."""
-    s = singular_values(_as_matrix(a))
+    s = singular_values(a)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > RANK_RTOL * s[0]))

@@ -220,8 +220,9 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     MAX_ERROR_FRACTION error rows at a grid point raise
     :class:`ExperimentError`.  Builds and replications run on one BLAS
     thread (:func:`linalg.single_blas_thread`) at every worker count, and
-    `workers` is clamped to the number of cells and of cores, so workers
-    never compete with BLAS threads for the cores.
+    `workers` is clamped to the number of cells and of CPUs this process may
+    run on (its affinity mask where the platform reports one, else
+    os.cpu_count()), so workers never compete with BLAS threads for them.
     """
     gen = get_generator(spec.generator)
     proc = get_procedure(spec.procedure)
@@ -230,7 +231,11 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
         for gi in range(len(spec.grid))
         for rep in range(spec.replications)
     ]
-    workers = min(workers, len(cells), os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(workers, len(cells), cpus)
     with single_blas_thread():
         points = []
         for gi, grid_point in enumerate(spec.grid):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from weakfactor.adversarial import (
-    KroneckerCov,
     chi_square_cross,
     entry_perturbation_pair,
     gaussian_kl,
@@ -150,24 +149,18 @@ def test_gaussian_kl_trivial_and_mean_shift():
     assert gaussian_kl(mu, eye, d, eye) == pytest.approx(np.sum(d * d) / 2, rel=1e-12)
 
 
-def test_gaussian_kl_kronecker_matches_dense():
-    rng = np.random.default_rng(6)
-    a = rng.standard_normal((2, 2))
-    block1 = a @ a.T + 0.5 * np.eye(2)
-    b = rng.standard_normal((2, 2))
-    block2 = b @ b.T + 0.5 * np.eye(2)
-    copies = 4
-    mu1 = rng.standard_normal(2 * copies)
-    mu2 = rng.standard_normal(2 * copies)
-    k_struct = gaussian_kl(
-        mu1, KroneckerCov(block1, copies), mu2, KroneckerCov(block2, copies)
-    )
-    k_dense = gaussian_kl(
-        mu1, KroneckerCov(block1, copies).dense(),
-        mu2, KroneckerCov(block2, copies).dense(),
-    )
-    assert k_struct == pytest.approx(k_dense, abs=1e-10)
-    assert k_struct >= -1e-10
+@pytest.mark.parametrize("c", [1e-3, 0.5, 1.0, 2.0, 3.9])
+def test_panel_shift_pair_kl_is_that_of_the_full_law(c):
+    # The dense KL of the 2nT-dimensional law of (vec Y, vec X): shared mean,
+    # covariance I against the 2x2 tilt kron I_nT.
+    n = t = 3
+    m1, d1 = panel_means(n, t, math.sqrt(n * t), math.sqrt(n * t))
+    pair = panel_shift_pair(m1, d1, c)
+    delta = c / math.sqrt(n * t)
+    tilt = np.array([[delta**2 + 1.0, delta], [delta, 1.0]])
+    mu = np.concatenate([m1.ravel(), d1.ravel()])
+    dense = gaussian_kl(mu, np.eye(2 * n * t), mu, np.kron(tilt, np.eye(n * t)))
+    assert pair.info["kl"] == pytest.approx(dense, rel=1e-12)
 
 
 def test_gaussian_kl_validation():
@@ -175,8 +168,6 @@ def test_gaussian_kl_validation():
         gaussian_kl(np.zeros(2), -np.eye(2), np.zeros(2), np.eye(2))
     with pytest.raises(ValueError):
         gaussian_kl(np.zeros(2), np.eye(2), np.zeros(3), np.eye(3))
-    with pytest.raises(ValueError):
-        KroneckerCov(np.array([[1.0, 0.5], [0.4, 1.0]]), 2)  # not symmetric
 
 
 def test_chi_square_cross_values():

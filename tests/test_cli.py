@@ -344,6 +344,38 @@ def test_calibrate_labels_a_calibrated_value_equal_to_the_default(monkeypatch, c
     assert "calibrated C0 = 8.000\n" in out and "(default" not in out
 
 
+# Calibration chooses C0, so a C0 given with it, from the flag or from the
+# config file and equal to the default or not, is refused before anything runs.
+@pytest.mark.parametrize("argv, ini", [
+    (["--C0", "3.0", "--calibrate"], None),
+    (["--C0", "8.0", "--calibrate"], None),
+    (["--calibrate"], "[entrywise-coverage]\nc0 = 3.0\n"),
+    (["--C0", "3.0"], "[entrywise-coverage]\ncalibrate = true\n"),
+    ([], "[entrywise-coverage]\nc0 = 8.0\ncalibrate = true\n"),
+], ids=["flags", "flags-default-value", "ini-c0", "ini-calibrate", "ini-both"])
+def test_calibrate_refuses_a_given_c0(argv, ini, tmp_path, monkeypatch, capsys):
+    def ran(*args, **kwargs):
+        raise AssertionError("ran despite the refusal")
+
+    monkeypatch.setattr(cli, "calibrate_c0", ran)
+    monkeypatch.setattr(cli, "run_experiment", ran)
+    if ini is not None:
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(ini)
+        argv = argv + ["--config", str(cfg)]
+    assert run_cli(["entrywise-coverage", "--n", "20", "--T", "20", "--reps", "1", *argv]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "calibration chooses C0" in captured.err
+    assert captured.out == ""
+
+
+def test_c0_applies_without_calibration(tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[entrywise-coverage]\nc0 = 3.0\ncalibrate = false\n")
+    args = build_parser().parse_args(["entrywise-coverage", "--config", str(cfg)])
+    assert resolve_config(args)["c0"] == 3.0
+
+
 # Every ground truth of a command (panel-rate's fixed-effect and regressor
 # means at n = T = 50, 100 and 200, the coverage and calibration means of
 # entrywise-coverage) has rank at most 2, so its spectrum comes from the

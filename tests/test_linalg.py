@@ -307,13 +307,13 @@ def test_singular_values_falls_back_to_the_full_svd(a, svd_values_calls):
     assert np.array_equal(s, np.linalg.svd(a, compute_uv=False))
 
 
-def test_singular_values_non_finite_fails_as_the_full_svd():
+def test_singular_values_non_finite_raises_before_any_svd(svd_values_calls):
     a = _low_rank((10, 8), 1, 8)
-    a[2, 3] = np.nan
-    with pytest.raises(np.linalg.LinAlgError):
-        singular_values(a)
-    a[2, 3] = np.inf
-    assert np.all(np.isnan(singular_values(a)))
+    for bad in (np.nan, np.inf):
+        a[2, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            singular_values(a)
+    assert svd_values_calls == []
     with pytest.raises(ValueError, match="non-finite"):
         numerical_rank(a)
 
@@ -341,6 +341,35 @@ def test_factor_instance_rank_decision_at_the_edges(ratio, accepted, svd_values_
         with pytest.raises(ValueError, match="numerical rank > 2"):
             FactorInstance(m, kappa=10.0)
     assert svd_values_calls == [(4, 40)]
+
+
+_PUBLIC_KERNELS = {
+    "svd_truncated": lambda a: svd_truncated(a, 1),
+    "spectral_norm": spectral_norm,
+    "max_abs_entry": max_abs_entry,
+    "zero_entry_11": zero_entry_11,
+    "trace_product": lambda a: trace_product(a, a),
+    "numerical_rank": numerical_rank,
+    "singular_values": singular_values,
+}
+
+
+def _bad_input(kind):
+    if kind == "1-D":
+        return np.ones(6)
+    if kind == "3-D":
+        return np.ones((2, 6, 6))
+    a = np.ones((6, 6))
+    a[2, 3] = np.nan if kind == "nan" else np.inf  # off (1,1), which zero_entry_11 drops
+    return a
+
+
+@pytest.mark.parametrize("kind, message", [("nan", "non-finite"), ("inf", "non-finite"),
+                                           ("1-D", "2-D"), ("3-D", "2-D")])
+@pytest.mark.parametrize("name", sorted(_PUBLIC_KERNELS))
+def test_public_kernels_refuse_invalid_input(name, kind, message):
+    with pytest.raises(ValueError, match=message):
+        _PUBLIC_KERNELS[name](_bad_input(kind))
 
 
 def test_non_finite_rejected():

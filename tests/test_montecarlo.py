@@ -270,11 +270,12 @@ def test_standalone_checks_run_on_one_blas_thread(module, attr, call, two_blas_t
 
 @pytest.mark.parametrize("requested, cpus, reps, expected", [
     (8, 16, 4, 4),      # more workers than cells
-    (64, 3, 10, 3),     # more workers than cores
-    (64, None, 10, None),  # core count unknown: one worker, no pool
+    (64, 3, 10, 3),     # more workers than usable CPUs
+    (64, None, 10, None),  # no affinity and CPU count unknown: one worker, no pool
     (2, 16, 10, 2),     # within both limits
 ])
 def test_worker_count_clamped_to_cells_and_cores(requested, cpus, reps, expected, monkeypatch):
+    # The clamp counts the CPUs in the affinity mask, not all of the machine's.
     started = []
 
     class RecordingExecutor(montecarlo.ThreadPoolExecutor):
@@ -283,7 +284,12 @@ def test_worker_count_clamped_to_cells_and_cores(requested, cpus, reps, expected
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
     spec = _spec(procedure="_test_noisy_point", replications=reps)
     table = run_experiment(spec, workers=requested)
     assert started == ([] if expected is None else [expected])
