@@ -45,7 +45,6 @@ class TwoPointPair:
     alt_instance: Union[FactorInstance, PanelInstance]
     separation: float
     info: dict = field(default_factory=dict)
-    construction: str = ""
 
 
 def rank_one_testing_pair(
@@ -108,11 +107,10 @@ def rank_one_testing_pair(
         ),
     }
     return TwoPointPair(
-        null_instance=FactorInstance(null_m, kappa, label="testing-pair-null"),
-        alt_instance=FactorInstance(alt_m, kappa, label="testing-pair-alt"),
+        null_instance=FactorInstance(null_m, kappa),
+        alt_instance=FactorInstance(alt_m, kappa),
         separation=separation,
         info=info,
-        construction="rank_one_testing_pair",
     )
 
 
@@ -156,11 +154,10 @@ def entry_perturbation_pair(
         raise AssertionError(f"perturbed mean failed membership:\n{report}")
 
     return TwoPointPair(
-        null_instance=FactorInstance(m, kappa, label="perturbation-base"),
-        alt_instance=FactorInstance(alt_m, kappa, label="perturbation-alt"),
+        null_instance=FactorInstance(m, kappa),
+        alt_instance=FactorInstance(alt_m, kappa),
         separation=c0,
         info={"c0": c0, "tv_upper": 0.0},
-        construction="entry_perturbation_pair",
     )
 
 
@@ -198,12 +195,11 @@ def panel_shift_pair(m1, d1, c: float) -> TwoPointPair:
 
     delta = c / math.sqrt(n * t)
     null = PanelInstance(
-        mean=m1, regressor_mean=d1, sigma_eps=1.0, sigma_u=1.0, beta=0.0,
-        r0=2, r1=1, label="panel-pair-null",
+        mean=m1, regressor_mean=d1, sigma_eps=1.0, sigma_u=1.0, beta=0.0, r0=2, r1=1,
     )
     alt = PanelInstance(
         mean=m1 - delta * d1, regressor_mean=d1, sigma_eps=1.0, sigma_u=1.0,
-        beta=delta, r0=2, r1=1, label="panel-pair-alt",
+        beta=delta, r0=2, r1=1,
     )
     # The nT pairs (Y_it, X_it) are independent and share their mean under
     # both laws, so the KL is nT times that of one pair: covariance I against
@@ -215,7 +211,6 @@ def panel_shift_pair(m1, d1, c: float) -> TwoPointPair:
         alt_instance=alt,
         separation=delta,
         info={"delta": delta, "kl": kl, "kl_closed_form": 0.5 * c**2},
-        construction="panel_shift_pair",
     )
 
 

@@ -1,10 +1,22 @@
 """Command-line front end for the prebuilt experiments.
 
 Subcommands map one-to-one onto the experiment builders in
-:mod:`weakfactor.experiments`.  Option values resolve in three layers:
-the keyword defaults of the subcommand's builder, then a config file (INI
-style, a ``[common]`` section plus one section per subcommand, each value
-parsed by its flag's own type and choices), then command-line flags.
+:mod:`weakfactor.experiments`, and everything the front end knows of them is
+in two tables.  ``_OPTIONS`` declares each option once: its flag, its type or
+choices, and its valid range.  ``_SUBCOMMANDS`` has one row per subcommand:
+its help, its builder, the options it takes beyond the common ones, the
+defaults of the options only the front end reads, and its report handler.
+The parser, the config-file keys, the defaults, the range checks and the
+builder calls all read these two tables.
+
+Option values resolve in three layers: the keyword defaults of the
+subcommand's builder, then a config file (INI style, a ``[common]`` section
+plus one section per subcommand, each value parsed by its option's type and
+choices), then command-line flags.  Builder signatures are read from the
+references the table holds, never from a module attribute at call time, and
+``run_experiment``, ``calibrate_c0`` and the two checks are called through
+their module bindings, so a tracer that rebinds those names still sees the
+calls.
 
 Exit codes: 0 on success, 1 on experiment failure (more than 10% of a grid
 point's replications raised), 2 on usage errors and invalid input, a grid
@@ -22,7 +34,7 @@ import math
 import os
 import sys
 import warnings
-from functools import partial
+from typing import Callable, NamedTuple
 
 from . import __version__, experiments
 from .entrywise import DefaultC0Warning, calibrate_c0
@@ -39,15 +51,69 @@ from .montecarlo import (
 __all__ = ["main", "build_parser", "resolve_config"]
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="FILE", help="INI config file")
-    sub.add_argument("--out", metavar="PATH", help="output file path")
-    sub.add_argument("--format", choices=("csv", "json"), dest="format")
-    sub.add_argument("--threads", type=int, help="worker cap (default: WEAKFACTOR_THREADS or 1)")
-    sub.add_argument("--reps", type=int, help="replications per grid point")
-    sub.add_argument("--seed", type=int, help="master seed")
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--T", type=int, dest="T")
+class Option(NamedTuple):
+    """One option.  Its key in ``_OPTIONS`` is the name it resolves to and,
+    but for --config, its config-file key."""
+
+    flag: str
+    type: Callable = str  # bool: an on/off flag
+    choices: tuple | None = None
+    minimum: int | None = None  # the least valid value
+    bounds: tuple[float, float] | None = None  # the open interval of valid values
+    help: str | None = None
+    metavar: str | None = None
+
+
+class Subcommand(NamedTuple):
+    """One subcommand: the builder whose keyword defaults are its defaults
+    (a dict holds one builder per --mode), the options it takes beyond the
+    common ones, the defaults of the options that only the front end reads,
+    and the handler that runs it and reports."""
+
+    help: str
+    builder: Callable | dict
+    options: tuple[str, ...]
+    defaults: dict
+    report: Callable[[dict], int]
+    min_reps: int = 1
+
+
+_RATE_BUILDERS = {"tau": experiments.rate_in_tau_spec, "size": experiments.rate_in_size_spec}
+_POSITIVE = (0, math.inf)
+
+# Every option, under the name it resolves to; a subcommand's --help lists
+# the common ones first, then its own in the order its row gives them.
+_OPTIONS = {
+    "config": Option("--config", metavar="FILE", help="INI config file"),
+    "out": Option("--out", metavar="PATH", help="output file path"),
+    "format": Option("--format", choices=("csv", "json")),
+    "threads": Option(
+        "--threads", int, minimum=1, help="worker cap (default: WEAKFACTOR_THREADS or 1)"
+    ),
+    "reps": Option("--reps", int, minimum=1, help="replications per grid point"),
+    "seed": Option("--seed", int, help="master seed"),
+    "n": Option("--n", int, minimum=2),
+    "T": Option("--T", int, minimum=2),
+    "mode": Option("--mode", choices=tuple(_RATE_BUILDERS), help="grid direction (default tau)"),
+    "kappa": Option("--kappa", float, bounds=_POSITIVE),
+    "spike_frac": Option("--spike-frac", float),
+    "c0": Option("--C0", float, bounds=_POSITIVE),
+    "calibrate": Option(
+        "--calibrate", bool, help="calibrate C0 on a reference grid before running"
+    ),
+    "eta": Option("--eta", float, bounds=(0, 1)),
+    "tau2": Option("--tau2", float, bounds=_POSITIVE),
+    "alpha": Option("--alpha", float, bounds=(0, 1)),
+    "tau": Option("--tau", float, bounds=_POSITIVE),
+    "panel_config": Option("--panel-config", choices=tuple(experiments.PANEL_CONFIGS) + ("all",)),
+    "beta": Option("--beta", float),
+    "kappa2": Option("--kappa2", float, bounds=_POSITIVE),
+    "c": Option("--c", float, bounds=(0, 4)),
+}
+_COMMON = ("config", "out", "format", "threads", "reps", "seed", "n", "T")
+
+# Builder parameters whose option has another name.
+_OPTION_NAMES = {"t": "T", "config": "panel_config"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,174 +123,109 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"weakfactor {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = subs.add_parser(
-        "entrywise-rate",
-        help="plug-in estimator error rate in strength or in matrix size",
-    )
-    _add_common(p)
-    p.add_argument("--mode", choices=("tau", "size"), help="grid direction (default tau)")
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--spike-frac", type=float, dest="spike_frac")
-
-    p = subs.add_parser(
-        "entrywise-coverage", help="adaptive confidence interval coverage and length"
-    )
-    _add_common(p)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--C0", type=float, dest="c0")
-    p.add_argument(
-        "--calibrate", action="store_true", default=None,
-        help="calibrate C0 on a reference grid before running",
-    )
-
-    p = subs.add_parser(
-        "adaptivity-demo",
-        help="pre-test interval coverage collapse on the hidden-entry pair",
-    )
-    _add_common(p)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--tau2", type=float)
-    p.add_argument("--alpha", type=float)
-
-    p = subs.add_parser(
-        "lower-bound-check",
-        help="likelihood-ratio test power at the two-point testing pair",
-    )
-    _add_common(p)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--alpha", type=float)
-
-    p = subs.add_parser(
-        "panel-rate", help="panel trace estimator RMSE across sizes and strengths"
-    )
-    _add_common(p)
-    p.add_argument(
-        "--panel-config", dest="panel_config",
-        choices=tuple(experiments.PANEL_CONFIGS) + ("all",),
-    )
-    p.add_argument("--beta", type=float)
-
-    p = subs.add_parser(
-        "panel-tradeoff",
-        help="fixed-width strong-factor interval against the shifted alternative",
-    )
-    _add_common(p)
-    p.add_argument("--kappa2", type=float)
-    p.add_argument("--c", type=float)
-
-    p = subs.add_parser(
-        "oracle-check", help="information-theory oracles against Monte Carlo"
-    )
-    _add_common(p)
-
+    for name, row in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=row.help)
+        for key in _COMMON + row.options:
+            option = _OPTIONS[key]
+            if option.type is bool:
+                kind = {"action": "store_true", "default": None}
+            else:
+                kind = {"type": option.type, "choices": option.choices, "metavar": option.metavar}
+            sub.add_argument(option.flag, dest=key, help=option.help, **kind)
     return parser
 
 
-# Builder parameters whose option has another name.
-_OPTION_NAMES = {"t": "T", "config": "panel_config"}
+def _builder(sub: str, mode: str | None) -> Callable:
+    """The builder that `sub` runs in `mode`, as its row holds it.
+
+    Signatures are read from this reference, never from the module attribute,
+    which a wrapper taking (*args, **kwargs) may have replaced."""
+    builder = _SUBCOMMANDS[sub].builder
+    return builder[mode] if isinstance(builder, dict) else builder
 
 
-def _ini_value(ini: configparser.ConfigParser, section: str, key: str, action):
+def _arguments(cfg: dict) -> dict:
+    """The keywords of the subcommand's builder that `cfg` has options for."""
+    params = inspect.signature(_builder(cfg["subcommand"], cfg.get("mode"))).parameters
+    names = {name: _OPTION_NAMES.get(name, name) for name in params}
+    return {name: cfg[key] for name, key in names.items() if key in cfg}
+
+
+def _ini_value(ini: configparser.ConfigParser, section: str, key: str, option: Option):
     """A config-file value, parsed by the type and choices of its option."""
     raw = ini.get(section, key)
     try:
-        if action.nargs == 0:  # an on/off flag such as --calibrate
+        if option.type is bool:
             return ini.getboolean(section, key)
-        value = action.type(raw) if action.type else raw
-        if action.choices is not None and value not in action.choices:
-            raise ValueError(f"invalid choice {raw!r}, choose from {', '.join(action.choices)}")
+        value = option.type(raw)
+        if option.choices is not None and value not in option.choices:
+            raise ValueError(f"invalid choice {raw!r}, choose from {', '.join(option.choices)}")
     except ValueError as exc:
         raise ValueError(f"config key {key!r} in [{section}]: {exc}") from None
     return value
 
 
-def _fixed_size_builder(sub: str, cfg: dict):
-    """The builder that runs its own grid of sizes for this command, or None."""
-    if sub == "panel-rate":
-        return experiments.panel_rate_spec
-    if sub == "entrywise-rate" and cfg["mode"] == "size":
-        return experiments.rate_in_size_spec
-    return None
-
-
 def resolve_config(args: argparse.Namespace) -> dict:
     """Merge defaults, config-file values, and flags (highest priority last)."""
     sub = args.subcommand
+    row = _SUBCOMMANDS[sub]
+    keys = [key for key in _COMMON + row.options if key != "config"]
     # An option defaults to the front end's own default, or to the keyword
     # default of the subcommand's builder, or else to None.
-    _, builder, front_end = _SUBCOMMANDS[sub]
-    params = inspect.signature(builder).parameters
+    params = inspect.signature(_builder(sub, row.defaults.get("mode"))).parameters
     defaults = {_OPTION_NAMES.get(name, name): p.default for name, p in params.items()}
-    cfg = {
-        key: front_end.get(key, defaults.get(key))
-        for key in vars(args) if key not in ("subcommand", "config")
-    }
-    sized = []  # where the subcommand itself was given n or T
-    c0_given = None  # where C0 was given, if it was
+    cfg = {key: row.defaults.get(key, defaults.get(key)) for key in keys}
+    given = []  # (option, its section or None for a flag, where it was given)
 
     if args.config:
         ini = configparser.ConfigParser()
-        read = ini.read(args.config)
-        if not read:
+        if not ini.read(args.config):
             raise FileNotFoundError(f"config file not found: {args.config}")
         # Keys name the subcommand's options in any case; configparser lowercases them.
-        subparsers = next(a for a in build_parser()._actions if a.dest == "subcommand")
-        options = {a.dest.lower(): a for a in subparsers.choices[sub]._actions if a.dest in cfg}
+        by_name = {key.lower(): key for key in keys}
         for section in ("common", sub):
             if ini.has_section(section):
-                for key in ini.options(section):
-                    action = options.get(key.replace("-", "_"))
-                    if action is None:
-                        raise ValueError(f"unknown config key {key!r} in [{section}]")
-                    cfg[action.dest] = _ini_value(ini, section, key, action)
-                    if section == sub and action.dest in ("n", "T"):
-                        sized.append(f"{key} in [{sub}]")
-                    if action.dest == "c0":
-                        c0_given = f"{key} in [{section}]"
+                for name in ini.options(section):
+                    key = by_name.get(name.replace("-", "_"))
+                    if key is None:
+                        raise ValueError(f"unknown config key {name!r} in [{section}]")
+                    cfg[key] = _ini_value(ini, section, name, _OPTIONS[key])
+                    given.append((key, section, f"{name} in [{section}]"))
 
-    for key, value in vars(args).items():
-        if key in ("subcommand", "config") or value is None:
-            continue
-        cfg[key] = value
-        if key in ("n", "T"):
-            sized.append(f"--{key}")
-        if key == "c0":
-            c0_given = "--C0"
+    for key in keys:
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+            given.append((key, None, _OPTIONS[key].flag))
 
     # panel-rate and entrywise-rate --mode size run their builder's own
     # sizes: a size asked of them alone is refused, a [common] one ignored.
-    builder = _fixed_size_builder(sub, cfg)
-    if builder is not None:
+    sizes = inspect.signature(_builder(sub, cfg.get("mode"))).parameters.get("sizes")
+    if sizes is not None:
+        sized = [where for key, section, where in given
+                 if key in ("n", "T") and section != "common"]
         if sized:
-            sizes = inspect.signature(builder).parameters["sizes"].default
             raise ValueError(f"{' and '.join(sized)} cannot apply: this command runs its own "
-                             f"sizes, n = T in {sizes}")
+                             f"sizes, n = T in {sizes.default}")
         cfg["n"] = cfg["T"] = None
 
     # Calibration chooses C0, so a C0 given with it would be silently discarded.
+    c0_given = [where for key, _, where in given if key == "c0"]
     if cfg.get("calibrate") and c0_given:
-        raise ValueError(f"{c0_given} cannot apply: calibration chooses C0")
+        raise ValueError(f"{c0_given[-1]} cannot apply: calibration chooses C0")
 
-    # The oracle checks report Monte Carlo standard errors, which need two draws.
-    min_reps = 2 if sub == "oracle-check" else 1
-    if cfg["reps"] < min_reps:
-        raise ValueError(f"reps must be >= {min_reps}, got {cfg['reps']}")
-    for key in ("n", "T"):
-        if cfg[key] is not None and cfg[key] < 2:
-            raise ValueError(f"{key} must be >= 2, got {cfg[key]}")
-    for key in ("kappa", "kappa2", "c0", "tau", "tau2"):
-        if cfg.get(key) is not None and not cfg[key] > 0:
-            raise ValueError(f"{key} must be > 0, got {cfg[key]}")
-    for key, upper in (("eta", 1.0), ("alpha", 1.0), ("c", 4.0)):
-        if key in cfg and not 0 < cfg[key] < upper:
-            raise ValueError(f"{key} must be in (0, {upper:g}), got {cfg[key]}")
     if cfg["threads"] is None:
         cfg["threads"] = int(os.environ.get("WEAKFACTOR_THREADS", "1"))
-    if cfg["threads"] < 1:
-        raise ValueError(f"threads must be >= 1, got {cfg['threads']}")
+    for key in keys:
+        value, option = cfg[key], _OPTIONS[key]
+        if value is None:
+            continue
+        minimum = row.min_reps if key == "reps" else option.minimum
+        if minimum is not None and value < minimum:
+            raise ValueError(f"{key} must be >= {minimum}, got {value}")
+        if option.bounds is not None and not option.bounds[0] < value < option.bounds[1]:
+            low, high = option.bounds
+            valid = f"> {low:g}" if high == math.inf else f"in ({low:g}, {high:g})"
+            raise ValueError(f"{key} must be {valid}, got {value}")
     cfg["subcommand"] = sub
     cfg["library_version"] = __version__
     return cfg
@@ -295,19 +296,18 @@ def _print_summaries(table: ResultTable) -> None:
         print("  ".join(parts))
 
 
+def _spec(cfg: dict):
+    """The experiment spec that the subcommand's builder makes of `cfg`."""
+    return _builder(cfg["subcommand"], cfg.get("mode"))(**_arguments(cfg))
+
+
+def _run(cfg: dict) -> ResultTable:
+    return run_experiment(_spec(cfg), workers=cfg["threads"])
+
+
 def _cmd_entrywise_rate(cfg: dict) -> int:
-    if cfg["mode"] == "size":
-        spec = experiments.rate_in_size_spec(
-            reps=cfg["reps"], seed=cfg["seed"], kappa=cfg["kappa"],
-            spike_frac=cfg["spike_frac"],
-        )
-    else:
-        spec = experiments.rate_in_tau_spec(
-            n=cfg["n"], t=cfg["T"], reps=cfg["reps"], seed=cfg["seed"],
-            kappa=cfg["kappa"], spike_frac=cfg["spike_frac"],
-        )
-    table = run_experiment(spec, workers=cfg["threads"])
-    print(f"{spec.name}: R = {spec.replications}, seed = {spec.master_seed}")
+    table = _run(cfg)
+    print(f"{table.spec.name}: R = {table.spec.replications}, seed = {table.spec.master_seed}")
     _print_summaries(table)
     if cfg["mode"] == "tau":
         slope = rate_slope(table, "tau", "median_abs_error")
@@ -322,13 +322,9 @@ def _cmd_entrywise_rate(cfg: dict) -> int:
 
 
 def _cmd_entrywise_coverage(cfg: dict) -> int:
-    build = partial(
-        experiments.adaptive_coverage_spec,
-        n=cfg["n"], t=cfg["T"], reps=cfg["reps"], seed=cfg["seed"], kappa=cfg["kappa"],
-    )
     if cfg["calibrate"]:
         # Calibrate on the spec's strong grid points; the last one is the weak point.
-        taus = [gp["tau"] for gp in build().grid[:-1]]
+        taus = [gp["tau"] for gp in _spec(cfg).grid[:-1]]
         # calibrate_c0 warns when no replication calibrated C0 and it returns
         # the default: record its warnings, label the value, then re-emit them.
         with warnings.catch_warnings(record=True) as caught:
@@ -342,21 +338,16 @@ def _cmd_entrywise_coverage(cfg: dict) -> int:
         fell_back = any(issubclass(w.category, DefaultC0Warning) for w in caught)
         note = "  (default: no replication above the detection threshold)" if fell_back else ""
         print(f"calibrated C0 = {cfg['c0']:.3f}{note}")
-    spec = build(c0=cfg["c0"])
-    table = run_experiment(spec, workers=cfg["threads"])
-    print(f"{spec.name}: R = {spec.replications}, C0 = {cfg['c0']:g}")
+    table = _run(cfg)
+    print(f"{table.spec.name}: R = {table.spec.replications}, C0 = {cfg['c0']:g}")
     _print_summaries(table)
     _write_table(table, cfg)
     return 0
 
 
 def _cmd_adaptivity_demo(cfg: dict) -> int:
-    spec = experiments.pretest_control_spec(
-        n=cfg["n"], t=cfg["T"], reps=cfg["reps"], seed=cfg["seed"],
-        kappa=cfg["kappa"], eta=cfg["eta"], tau2=cfg["tau2"], alpha=cfg["alpha"],
-    )
-    table = run_experiment(spec, workers=cfg["threads"])
-    print(f"{spec.name}: R = {spec.replications}")
+    table = _run(cfg)
+    print(f"{table.spec.name}: R = {table.spec.replications}")
     _print_summaries(table)
     alt = table.summaries[1]
     print(
@@ -368,10 +359,7 @@ def _cmd_adaptivity_demo(cfg: dict) -> int:
 
 
 def _cmd_lower_bound_check(cfg: dict) -> int:
-    result = experiments.lr_power_check(
-        n=cfg["n"], t=cfg["T"], tau=cfg["tau"], kappa=cfg["kappa"],
-        alpha=cfg["alpha"], reps=cfg["reps"], seed=cfg["seed"], workers=cfg["threads"],
-    )
+    result = experiments.lr_power_check(**_arguments(cfg), workers=cfg["threads"])
     print(f"two-point testing pair at n={result['n']}, T={result['T']}, tau={result['tau']:g}")
     print(f"  TV upper bound      {result['tv_upper']:.6f} (target <= alpha = {result['alpha']})")
     print(f"  chi2 cross moment   {result['chi2_cross']:.6f}")
@@ -389,12 +377,9 @@ def _cmd_panel_rate(cfg: dict) -> int:
     )
     tables = []
     for name in names:
-        spec = experiments.panel_rate_spec(
-            config=name, reps=cfg["reps"], seed=cfg["seed"], beta=cfg["beta"],
-        )
-        table = run_experiment(spec, workers=cfg["threads"])
+        table = _run(dict(cfg, panel_config=name))
         tables.append(table)
-        print(f"{spec.name}: R = {spec.replications}")
+        print(f"{table.spec.name}: R = {table.spec.replications}")
         for s in table.summaries:
             scaled = s.rmse * math.sqrt(s.grid_point["n"] * s.grid_point["T"])
             print(f"  n=T={s.grid_point['n']}: sqrt(nT) * RMSE = {scaled:.3f}")
@@ -407,14 +392,10 @@ def _cmd_panel_rate(cfg: dict) -> int:
 
 
 def _cmd_panel_tradeoff(cfg: dict) -> int:
-    spec = experiments.panel_tradeoff_spec(
-        n=cfg["n"], t=cfg["T"], reps=cfg["reps"], seed=cfg["seed"],
-        kappa2=cfg["kappa2"], c=cfg["c"],
-    )
-    table = run_experiment(spec, workers=cfg["threads"])
+    table = _run(cfg)
     width = 3.92 / math.sqrt(cfg["n"] * cfg["T"]) / math.sqrt(1 + cfg["kappa2"] ** 2)
     bound = 0.5 + 1.96 / math.sqrt(1 + cfg["kappa2"] ** 2)
-    print(f"{spec.name}: R = {spec.replications}, exact width = {width:.6g}")
+    print(f"{table.spec.name}: R = {table.spec.replications}, exact width = {width:.6g}")
     _print_summaries(table)
     print(f"alternative coverage bound 1/2 + 1.96 (1+kappa2^2)^(-1/2) = {bound:.4f}")
     _write_table(table, cfg)
@@ -422,9 +403,7 @@ def _cmd_panel_tradeoff(cfg: dict) -> int:
 
 
 def _cmd_oracle_check(cfg: dict) -> int:
-    result = experiments.oracle_checks(
-        reps=cfg["reps"], seed=cfg["seed"], n=cfg["n"], t=cfg["T"],
-    )
+    result = experiments.oracle_checks(**_arguments(cfg))
     kl, chi2, tv = result["kl"], result["chi2"], result["tv"]
     print(f"oracle checks at n={result['n']}, T={result['T']}, R={result['reps']}")
     print(f"  KL   exact {kl['exact']:.6f}  MC {kl['mc']:.6f}  rel err {kl['rel_err']:.4f}")
@@ -434,21 +413,38 @@ def _cmd_oracle_check(cfg: dict) -> int:
     return 0
 
 
-# Per subcommand: its handler, the builder whose keyword defaults are its
-# defaults, and the defaults of the options that only the front end reads.
 _SUBCOMMANDS = {
-    "entrywise-rate": (
-        _cmd_entrywise_rate, experiments.rate_in_tau_spec, {"mode": "tau", "format": "csv"},
+    "entrywise-rate": Subcommand(
+        "plug-in estimator error rate in strength or in matrix size", _RATE_BUILDERS,
+        ("mode", "kappa", "spike_frac"), {"mode": "tau", "format": "csv"}, _cmd_entrywise_rate,
     ),
-    "entrywise-coverage": (
-        _cmd_entrywise_coverage, experiments.adaptive_coverage_spec,
-        {"calibrate": False, "format": "csv"},
+    "entrywise-coverage": Subcommand(
+        "adaptive confidence interval coverage and length", experiments.adaptive_coverage_spec,
+        ("kappa", "c0", "calibrate"), {"calibrate": False, "format": "csv"},
+        _cmd_entrywise_coverage,
     ),
-    "adaptivity-demo": (_cmd_adaptivity_demo, experiments.pretest_control_spec, {"format": "csv"}),
-    "lower-bound-check": (_cmd_lower_bound_check, experiments.lr_power_check, {"format": "json"}),
-    "panel-rate": (_cmd_panel_rate, experiments.panel_rate_spec, {"format": "csv"}),
-    "panel-tradeoff": (_cmd_panel_tradeoff, experiments.panel_tradeoff_spec, {"format": "csv"}),
-    "oracle-check": (_cmd_oracle_check, experiments.oracle_checks, {"format": "json"}),
+    "adaptivity-demo": Subcommand(
+        "pre-test interval coverage collapse on the hidden-entry pair",
+        experiments.pretest_control_spec, ("kappa", "eta", "tau2", "alpha"), {"format": "csv"},
+        _cmd_adaptivity_demo,
+    ),
+    "lower-bound-check": Subcommand(
+        "likelihood-ratio test power at the two-point testing pair", experiments.lr_power_check,
+        ("kappa", "tau", "alpha"), {"format": "json"}, _cmd_lower_bound_check,
+    ),
+    "panel-rate": Subcommand(
+        "panel trace estimator RMSE across sizes and strengths", experiments.panel_rate_spec,
+        ("panel_config", "beta"), {"format": "csv"}, _cmd_panel_rate,
+    ),
+    "panel-tradeoff": Subcommand(
+        "fixed-width strong-factor interval against the shifted alternative",
+        experiments.panel_tradeoff_spec, ("kappa2", "c"), {"format": "csv"}, _cmd_panel_tradeoff,
+    ),
+    # The oracle checks report Monte Carlo standard errors, which need two draws.
+    "oracle-check": Subcommand(
+        "information-theory oracles against Monte Carlo", experiments.oracle_checks, (),
+        {"format": "json"}, _cmd_oracle_check, min_reps=2,
+    ),
 }
 
 
@@ -461,7 +457,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _SUBCOMMANDS[args.subcommand][0](cfg)
+        return _SUBCOMMANDS[args.subcommand].report(cfg)
     except InvalidGridPoint as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -72,7 +72,7 @@ def flat_rank_one_instance(n: int, t: int, tau: float, kappa: float = 1.0) -> Fa
     """Constant matrix with sigma_1 = tau; every entry equals tau/sqrt(nT)."""
     if not 0 < tau <= kappa * math.sqrt(n * t):
         raise ValueError("tau must lie in (0, kappa sqrt(nT)]")
-    return FactorInstance(np.full((n, t), tau / math.sqrt(n * t)), kappa, label="flat")
+    return FactorInstance(np.full((n, t), tau / math.sqrt(n * t)), kappa)
 
 
 def spiked_rank_one_instance(
@@ -106,7 +106,7 @@ def spiked_rank_one_instance(
         c_sq = kappa * kappa
     loading = np.full(n, math.sqrt(c_sq))
     loading[0] = s
-    return FactorInstance(np.outer(loading, np.ones(t)), kappa, label="spiked")
+    return FactorInstance(np.outer(loading, np.ones(t)), kappa)
 
 
 def orthogonal_unit_pair(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -167,9 +167,7 @@ def _gen_perturbation_arm(grid_point, params):
     eta = float(params["eta"])
     tau0 = math.sqrt(n * t) / 24.0
     tau2 = float(params["tau2"])
-    base = FactorInstance(
-        np.full((n, t), kappa * (1.0 - eta)), kappa, label="perturbation-base"
-    )
+    base = FactorInstance(np.full((n, t), kappa * (1.0 - eta)), kappa)
     pair = entry_perturbation_pair(base, eta=eta, kappa=kappa, tau0=tau0, tau2=tau2)
     inst = getattr(pair, arm)
     return inst.mean[0, 0], partial(sample_observation, inst)

@@ -36,6 +36,10 @@ a full SVD.  Any matrix it cannot certify, among them every matrix of
 rank 5 or more, gets the full values-only SVD, so the rank decisions built
 on these spectra are those of the full SVD.
 
+Every public function refuses input that is not 2-D or has a non-finite
+entry (outside entry (1,1) for :func:`zero_entry_11`) with ``ValueError``
+before any decomposition.
+
 numpy and scipy each bundle their own OpenBLAS with its own thread pool.
 :func:`single_blas_thread` caps both at one thread; replications run under
 it in parallel, and the two top-k kernels cap themselves, so that the pools

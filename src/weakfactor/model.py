@@ -56,7 +56,6 @@ class FactorInstance:
 
     mean: np.ndarray
     kappa: float
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
@@ -84,7 +83,6 @@ class PanelInstance:
     r0: int = 2
     r1: int = 1
     kappa: float = 10.0
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))

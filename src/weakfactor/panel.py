@@ -121,8 +121,8 @@ def ls_estimator(
 
     Returns (beta_ls, a_hat, converged).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
+    y = np.ascontiguousarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError("X and Y must have the same shape")
     if rank >= min(x.shape):
@@ -133,17 +133,22 @@ def ls_estimator(
 
     beta = 0.0
     a = np.zeros_like(y)
-    obj = float(np.sum((y - a - x * beta) ** 2))
+    obj = float(np.sum((y - x * beta) ** 2))
     converged = False
     for _ in range(max_iter):
-        resid = y - x * beta
+        # a's buffer holds Y - X beta for the A-step, then the new A.  Y - A
+        # is taken once and becomes the residual in place; it and the scratch
+        # array are freed before the next A-step, so that only a is held
+        # through the SVD.
         if rank > 0:
-            u, s, v = svd_truncated(resid, rank)
-            a = u @ (s[:, None] * v.T)
-        else:
-            a = np.zeros_like(y)
-        beta = float(np.sum(x * (y - a)) / x_ss)
-        new_obj = float(np.sum((y - a - x * beta) ** 2))
+            u, s, v = svd_truncated(np.subtract(y, np.multiply(x, beta, out=a), out=a), rank)
+            np.matmul(u, s[:, None] * v.T, out=a)
+        resid = y - a
+        work = x * resid
+        beta = float(np.sum(work) / x_ss)
+        resid -= np.multiply(x, beta, out=work)
+        new_obj = float(np.sum(np.square(resid, out=resid)))
+        del resid, work
         if obj - new_obj <= tol * max(obj, 1.0):
             converged = True
             obj = new_obj

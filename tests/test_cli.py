@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import weakfactor
-from weakfactor import __version__, cli, montecarlo
+from weakfactor import __version__, cli, experiments, montecarlo
 from weakfactor.cli import build_parser, main, resolve_config
 
 
@@ -324,6 +325,64 @@ def test_resolve_config_defaults(sub, monkeypatch):
     }
     assert cfg == expected
     assert {k: type(v) for k, v in cfg.items()} == {k: type(v) for k, v in expected.items()}
+
+
+def _wrap_every_function(monkeypatch):
+    """Rebind every function name of every weakfactor module to a wrapper
+    taking (*args, **kwargs), as a tracer does; a signature read through
+    such a name has no parameters and no defaults."""
+    wrappers = {}
+
+    def wrap(fn):
+        def wrapper(*args, **kwargs):
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if name == "weakfactor" or name.startswith("weakfactor."):
+            for attr, value in list(vars(module).items()):
+                if inspect.isfunction(value) and value.__module__.startswith("weakfactor"):
+                    monkeypatch.setattr(module, attr, wrappers.setdefault(id(value), wrap(value)))
+    assert wrappers
+
+
+@pytest.mark.parametrize("sub", list(DEFAULT_CONFIGS))
+def test_resolve_config_defaults_with_wrapped_functions(sub, monkeypatch):
+    monkeypatch.delenv("WEAKFACTOR_THREADS", raising=False)
+    _wrap_every_function(monkeypatch)
+    assert inspect.signature(experiments.rate_in_tau_spec).parameters.keys() == {"args", "kwargs"}
+    cfg = resolve_config(build_parser().parse_args([sub]))
+    expected = {
+        **_COMMON, **DEFAULT_CONFIGS[sub], "subcommand": sub, "library_version": __version__,
+    }
+    assert cfg == expected
+
+
+# One small run per subcommand and mode, each with options off their defaults.
+@pytest.mark.parametrize("argv", [
+    ["entrywise-rate", "--n", "20", "--T", "20", "--kappa", "2", "--spike-frac", "0.5"],
+    ["entrywise-rate", "--mode", "size", "--kappa", "2"],
+    ["entrywise-coverage", "--n", "20", "--T", "20", "--kappa", "2", "--C0", "6"],
+    ["adaptivity-demo", "--n", "30", "--T", "30", "--eta", "0.4", "--alpha", "0.1"],
+    ["lower-bound-check", "--n", "20", "--T", "20", "--tau", "1", "--alpha", "0.1"],
+    ["panel-rate", "--panel-config", "weak_d", "--beta", "0.3"],
+    ["panel-tradeoff", "--n", "20", "--T", "20", "--kappa2", "8", "--c", "2"],
+    ["oracle-check", "--n", "4", "--T", "4"],
+], ids=["entrywise-rate-tau", "entrywise-rate-size", "entrywise-coverage", "adaptivity-demo",
+        "lower-bound-check", "panel-rate", "panel-tradeoff", "oracle-check"])
+def test_wrapped_functions_write_the_same_bytes(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("WEAKFACTOR_THREADS", raising=False)
+    written = []
+    for folder in ("plain", "wrapped"):
+        if folder == "wrapped":
+            _wrap_every_function(monkeypatch)
+        (tmp_path / folder).mkdir()
+        out = tmp_path / folder / "out"
+        assert run_cli(argv + ["--reps", "3", "--seed", "4", "--out", str(out)]) == 0
+        files = {path.name: path.read_bytes() for path in (tmp_path / folder).iterdir()}
+        written.append((capsys.readouterr().out, files))
+    assert written[0] == written[1]
 
 
 def test_calibrate_reports_the_default_when_nothing_calibrates(capsys):
