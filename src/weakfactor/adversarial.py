@@ -5,7 +5,8 @@ values whose observed-data distributions are provably close (or identical)
 while their targets differ.  Each constructor validates the membership
 conditions of the spaces it claims and attaches exact divergence values
 (chi-square cross moment, total-variation upper bound, Gaussian KL) that the
-Monte Carlo suite cross-checks empirically.
+Monte Carlo suite cross-checks empirically, from the spectra and ranks that
+their instances kept; nothing here decomposes a matrix.
 """
 
 from __future__ import annotations
@@ -16,14 +17,8 @@ from typing import Union
 
 import numpy as np
 
-from .linalg import RANK_RTOL, numerical_rank, singular_values, zero_entry_11
-from .model import (
-    FactorInstance,
-    PanelInstance,
-    SpaceSpec,
-    check_membership,
-    make_rank_one,
-)
+from .linalg import RANK_RTOL, zero_entry_11
+from .model import FactorInstance, PanelInstance, SpaceSpec, check_membership
 
 __all__ = [
     "TwoPointPair",
@@ -82,14 +77,14 @@ def rank_one_testing_pair(
     loading = np.concatenate(([kappa / 2.0], np.full(n - 1, c1)))
     null_factor = np.concatenate(([0.0], np.ones(t - 1)))
     alt_factor = np.concatenate(([c2], np.ones(t - 1)))
-    null_m = make_rank_one(loading, null_factor)
-    alt_m = make_rank_one(loading, alt_factor)
+    null_m, alt_m = np.outer(loading, null_factor), np.outer(loading, alt_factor)
+    null, alt = FactorInstance(null_m, kappa), FactorInstance(alt_m, kappa)
 
     separation = c2 * kappa / 2.0
     null_spec = SpaceSpec(kind="null_entry", kappa=kappa, tau=tau)
     alt_spec = SpaceSpec(kind="separated_entry", kappa=kappa, tau=tau, rho=separation)
-    for name, m, spec in (("null", null_m, null_spec), ("alt", alt_m, alt_spec)):
-        report = check_membership(m, spec)
+    for name, inst, spec in (("null", null, null_spec), ("alt", alt, alt_spec)):
+        report = check_membership(inst, spec)
         if not report:
             raise AssertionError(f"{name} mean failed membership:\n{report}")
 
@@ -106,25 +101,20 @@ def rank_one_testing_pair(
             zero_entry_11(alt_m).ravel(),
         ),
     }
-    return TwoPointPair(
-        null_instance=FactorInstance(null_m, kappa),
-        alt_instance=FactorInstance(alt_m, kappa),
-        separation=separation,
-        info=info,
-    )
+    return TwoPointPair(null_instance=null, alt_instance=alt, separation=separation, info=info)
 
 
 def entry_perturbation_pair(
     base: FactorInstance,
     eta: float,
-    kappa: float,
     tau0: float,
     tau2: float,
 ) -> TwoPointPair:
     """Perturb only the hidden entry: observationally identical designs.
 
-    The base must be a strict one-factor instance with headroom eta (entry
-    bound kappa(1-eta), strength at least tau0(1+eta)).  The alternative adds
+    The base, the null instance, must be a strict one-factor instance with
+    headroom eta (entry bound kappa(1-eta) for kappa = base.kappa, strength
+    at least tau0(1+eta) by its kept spectrum).  The alternative adds
     c0 = min{kappa eta, tau0 eta, tau2} to entry (1,1) only, landing inside
     the strong-plus-weak space while the observed data (entry (1,1) removed)
     are bit-for-bit identical.
@@ -133,8 +123,7 @@ def entry_perturbation_pair(
         raise ValueError("eta must be in (0, 1)")
     if not (tau0 > 0 and tau2 > 0):
         raise ValueError(f"tau0 and tau2 must be > 0, got {tau0:g} and {tau2:g}")
-    m = base.mean
-    s = singular_values(m)
+    m, s, kappa = base.mean, base.spectrum, base.kappa
     if np.max(np.abs(m)) > kappa * (1 - eta) * (1 + 1e-12):
         raise ValueError("base violates the entry bound kappa(1 - eta)")
     if s[0] < tau0 * (1 + eta) * (1 - 1e-12):
@@ -148,16 +137,14 @@ def entry_perturbation_pair(
     if not np.array_equal(zero_entry_11(alt_m), zero_entry_11(m)):
         raise AssertionError("perturbation leaked outside entry (1,1)")
 
+    alt = FactorInstance(alt_m, kappa)
     alt_spec = SpaceSpec(kind="strong_plus_weak", kappa=kappa, tau1=tau0, tau2=tau2)
-    report = check_membership(alt_m, alt_spec)
+    report = check_membership(alt, alt_spec)
     if not report:
         raise AssertionError(f"perturbed mean failed membership:\n{report}")
 
     return TwoPointPair(
-        null_instance=FactorInstance(m, kappa),
-        alt_instance=FactorInstance(alt_m, kappa),
-        separation=c0,
-        info={"c0": c0, "tv_upper": 0.0},
+        null_instance=base, alt_instance=alt, separation=c0, info={"c0": c0, "tv_upper": 0.0},
     )
 
 
@@ -169,7 +156,8 @@ def panel_shift_pair(m1, d1, c: float) -> TwoPointPair:
     carried entirely by the noise covariance: KL = c^2 / 2 exactly.
 
     M1 must be rank one and orthogonal to the rank-one D1 in both row and
-    column spaces (the strong-factor configuration).
+    column spaces (the strong-factor configuration), and min(n, T) must
+    exceed the alternative's declared rank r0 = 2, as the estimators require.
     """
     if not 0.0 < c < 4.0:
         raise ValueError("c must be in (0, 4)")
@@ -178,9 +166,14 @@ def panel_shift_pair(m1, d1, c: float) -> TwoPointPair:
     if m1.shape != d1.shape:
         raise ValueError("M1 and D1 must have the same shape")
     n, t = m1.shape
-    scale = max(np.linalg.norm(m1), np.linalg.norm(d1), 1.0)
-    if numerical_rank(m1) != 1 or numerical_rank(d1) != 1:
+    if min(n, t) <= 2:
+        raise ValueError(f"r0 = 2 must lie below min(n, T) = {min(n, t)}")
+    null = PanelInstance(
+        mean=m1, regressor_mean=d1, sigma_eps=1.0, sigma_u=1.0, beta=0.0, r0=2, r1=1,
+    )
+    if null.mean_rank != 1 or null.regressor_rank != 1:
         raise ValueError("M1 and D1 must both be rank one")
+    scale = max(np.linalg.norm(m1), np.linalg.norm(d1), 1.0)
     # For rank-one M1 = a b' and D1 = c d', M1'D1 = (a'c) b d' and
     # M1 D1' = (b'd) a c'.  Their largest entries pair the columns (and the
     # rows) that hold each matrix's largest entry, so two inner products
@@ -194,9 +187,6 @@ def panel_shift_pair(m1, d1, c: float) -> TwoPointPair:
         raise ValueError("M1 and D1 must be orthogonal (M'D = 0 and MD' = 0)")
 
     delta = c / math.sqrt(n * t)
-    null = PanelInstance(
-        mean=m1, regressor_mean=d1, sigma_eps=1.0, sigma_u=1.0, beta=0.0, r0=2, r1=1,
-    )
     alt = PanelInstance(
         mean=m1 - delta * d1, regressor_mean=d1, sigma_eps=1.0, sigma_u=1.0,
         beta=delta, r0=2, r1=1,

@@ -214,7 +214,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise ValueError(f"{c0_given[-1]} cannot apply: calibration chooses C0")
 
     if cfg["threads"] is None:
-        cfg["threads"] = int(os.environ.get("WEAKFACTOR_THREADS", "1"))
+        raw = os.environ.get("WEAKFACTOR_THREADS", "1")
+        try:
+            cfg["threads"] = int(raw)
+            if cfg["threads"] < _OPTIONS["threads"].minimum:
+                raise ValueError(f"threads must be >= {_OPTIONS['threads'].minimum}, got {raw}")
+        except ValueError as exc:
+            raise ValueError(f"environment variable WEAKFACTOR_THREADS: {exc}") from None
     for key in keys:
         value, option = cfg[key], _OPTIONS[key]
         if value is None:

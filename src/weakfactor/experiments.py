@@ -168,7 +168,7 @@ def _gen_perturbation_arm(grid_point, params):
     tau0 = math.sqrt(n * t) / 24.0
     tau2 = float(params["tau2"])
     base = FactorInstance(np.full((n, t), kappa * (1.0 - eta)), kappa)
-    pair = entry_perturbation_pair(base, eta=eta, kappa=kappa, tau0=tau0, tau2=tau2)
+    pair = entry_perturbation_pair(base, eta=eta, tau0=tau0, tau2=tau2)
     inst = getattr(pair, arm)
     return inst.mean[0, 0], partial(sample_observation, inst)
 

@@ -6,7 +6,8 @@ A :class:`FactorInstance` is a low-rank mean matrix with an entry bound; a
 :func:`check_membership` turns the parameter-space definitions into checkable
 predicates with per-inequality slack reporting.
 
-Every check that needs singular values takes the spectrum from
+An instance decomposes each matrix once, when built, and keeps the result for
+the membership checks and two-point pairs: the spectra come from
 :func:`weakfactor.linalg.singular_values`, which certifies the leading four
 values of a matrix of rank 4 or less from a randomized sketch and takes a
 full SVD of any other; the rank decisions are those of the full SVD.
@@ -29,7 +30,6 @@ __all__ = [
     "check_membership",
     "sample_observation",
     "sample_panel",
-    "make_rank_one",
     "replication_rng",
     "DEFAULT_SEED",
 ]
@@ -38,24 +38,18 @@ __all__ = [
 DEFAULT_SEED = 20260823
 
 
-def make_rank_one(l, f) -> np.ndarray:
-    """Outer product l f'; sigma_1 equals ||l|| * ||f||."""
-    l = np.asarray(l, dtype=float).ravel()
-    f = np.asarray(f, dtype=float).ravel()
-    if l.size == 0 or f.size == 0:
-        raise ValueError("factor vectors must be nonempty")
-    return np.outer(l, f)
-
-
 @dataclass(frozen=True)
 class FactorInstance:
     """A true mean matrix for the one-missing-entry problem.
 
-    The mean must respect the entry bound `kappa` and have rank at most 2.
+    The mean must respect the entry bound `kappa` and have rank at most 2
+    (sigma_3 <= RANK_RTOL sigma_1); `spectrum` keeps its leading 3 or fewer
+    singular values from that validation.
     """
 
     mean: np.ndarray
     kappa: float
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
@@ -66,9 +60,10 @@ class FactorInstance:
                 f"entry bound violated: max |entry| = {max_abs_entry(self.mean):g} "
                 f"> kappa = {self.kappa:g}"
             )
-        s = singular_values(self.mean)
+        s = singular_values(self.mean)[:3]
         if s.size > 2 and s[0] > 0 and s[2] > RANK_RTOL * s[0]:
             raise ValueError("mean matrix has numerical rank > 2")
+        object.__setattr__(self, "spectrum", s)
 
 
 @dataclass(frozen=True)
@@ -83,6 +78,8 @@ class PanelInstance:
     r0: int = 2
     r1: int = 1
     kappa: float = 10.0
+    mean_rank: int = field(init=False, repr=False, compare=False)  # rank(M), as validated
+    regressor_rank: int = field(init=False, repr=False, compare=False)  # rank(D)
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
@@ -91,9 +88,11 @@ class PanelInstance:
         )
         if self.mean.shape != self.regressor_mean.shape:
             raise ValueError("M and D must have the same shape")
-        if numerical_rank(self.mean) > self.r0:
+        object.__setattr__(self, "mean_rank", numerical_rank(self.mean))
+        if self.mean_rank > self.r0:
             raise ValueError(f"rank(M) exceeds declared bound r0={self.r0}")
-        if numerical_rank(self.regressor_mean) > self.r1:
+        object.__setattr__(self, "regressor_rank", numerical_rank(self.regressor_mean))
+        if self.regressor_rank > self.r1:
             raise ValueError(f"rank(D) exceeds declared bound r1={self.r1}")
         for name, sig in (("sigma_eps", self.sigma_eps), ("sigma_u", self.sigma_u)):
             if not (1.0 / self.kappa <= sig <= self.kappa):
@@ -111,7 +110,8 @@ class SpaceSpec:
       - "strong_plus_weak":  sigma_1 >= tau1 and sigma_2 <= tau2
       - "null_entry":        one_factor with M[0, 0] = 0
       - "separated_entry":   one_factor with |M[0, 0]| >= rho
-    All kinds additionally require max |entry| <= kappa and rank <= 2.
+    All kinds additionally require max |entry| <= kappa (and rank <= 2, which
+    every FactorInstance has).
     """
 
     kind: str
@@ -153,18 +153,18 @@ class MembershipReport:
         return "membership {}\n{}".format("passed" if self.ok else "FAILED", "\n".join(lines))
 
 
-def check_membership(m, spec: SpaceSpec) -> MembershipReport:
+def check_membership(inst: FactorInstance, spec: SpaceSpec) -> MembershipReport:
     """Check every defining inequality of the space, reporting per-check slack.
 
-    Slack is positive when the inequality holds strictly.  Comparisons carry a
-    tolerance of RANK_RTOL * sigma_1 so that exactly-constructed instances are
-    not rejected for floating-point reasons.
+    Reads the instance's kept `spectrum`; rank <= 2 holds for every instance,
+    while spec.kappa may be tighter than its entry bound.  Slack is positive
+    when the inequality holds strictly.  Comparisons carry a tolerance of
+    RANK_RTOL * max(sigma_1, 1) so that exactly-constructed instances are not
+    rejected for floating-point reasons.
     """
-    m = np.asarray(m, dtype=float)
-    s = singular_values(m)
+    m, s = inst.mean, inst.spectrum
     s1 = s[0] if s.size else 0.0
     s2 = s[1] if s.size > 1 else 0.0
-    s3 = s[2] if s.size > 2 else 0.0
     tol = RANK_RTOL * max(s1, 1.0)
 
     checks: list[tuple[str, bool, float]] = []
@@ -173,7 +173,6 @@ def check_membership(m, spec: SpaceSpec) -> MembershipReport:
         checks.append((name, slack >= -tol, slack))
 
     add("max|entry| <= kappa", spec.kappa - max_abs_entry(m))
-    add("rank <= 2 (sigma_3 ~ 0)", tol - s3)
 
     if spec.kind == "strong_plus_weak":
         add("sigma_1 >= tau1", s1 - spec.tau1)

@@ -63,7 +63,7 @@ def test_perturbation_pair_bitwise_and_c0():
     kappa, eta, tau2 = 1.0, 0.5, 1.0
     tau0 = math.sqrt(n * t) / 24.0
     base = FactorInstance(np.full((n, t), kappa * (1 - eta)), kappa)
-    pair = entry_perturbation_pair(base, eta, kappa, tau0, tau2)
+    pair = entry_perturbation_pair(base, eta, tau0, tau2)
     assert pair.separation == pytest.approx(0.5, rel=1e-12)
     assert np.array_equal(
         zero_entry_11(pair.null_instance.mean), zero_entry_11(pair.alt_instance.mean)
@@ -77,10 +77,10 @@ def test_perturbation_pair_bitwise_and_c0():
 def test_perturbation_pair_validation():
     base = FactorInstance(np.full((10, 10), 0.9), 1.0)
     with pytest.raises(ValueError):
-        entry_perturbation_pair(base, eta=0.5, kappa=1.0, tau0=1.0, tau2=1.0)
+        entry_perturbation_pair(base, eta=0.5, tau0=1.0, tau2=1.0)
     weak_base = FactorInstance(np.full((10, 10), 0.01), 1.0)
     with pytest.raises(ValueError):
-        entry_perturbation_pair(weak_base, eta=0.5, kappa=1.0, tau0=5.0, tau2=1.0)
+        entry_perturbation_pair(weak_base, eta=0.5, tau0=5.0, tau2=1.0)
 
 
 @pytest.mark.parametrize("tau0, tau2", [(4.0, 0.0), (4.0, -1.0), (0.0, 1.0), (-1.0, 1.0)])
@@ -90,7 +90,7 @@ def test_perturbation_pair_rejects_nonpositive_strengths(tau0, tau2, monkeypatch
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svd_calls.append(a) or svd(*a, **k))
     with pytest.raises(ValueError, match="tau0 and tau2 must be > 0"):
-        entry_perturbation_pair(base, eta=0.5, kappa=1.0, tau0=tau0, tau2=tau2)
+        entry_perturbation_pair(base, eta=0.5, tau0=tau0, tau2=tau2)
     assert svd_calls == []
 
 
@@ -116,6 +116,9 @@ def test_panel_shift_pair_validation():
         panel_shift_pair(m1, d1, 5.0)
     with pytest.raises(ValueError):
         panel_shift_pair(m1, m1, 1.0)  # not orthogonal
+    # The alternative declares rank r0 = 2, which must lie below min(n, T).
+    with pytest.raises(ValueError, match="must lie below min"):
+        panel_shift_pair(*panel_means(2, 3, 1.0, 1.0), 1.0)
 
 
 def test_panel_shift_pair_refuses_a_tilt_off_orthogonal():

@@ -188,7 +188,9 @@ def test_experiment_failure_exit_code(capsys, monkeypatch):
     (["entrywise-coverage", "--n", "20", "--T", "20", "--kappa", "0.5"], 2),
     # tau = 5 lies above the testing pair's limit kappa sqrt(nT) / 12.
     (["lower-bound-check", "--n", "20", "--T", "20", "--tau", "5"], 0),
-], ids=["entrywise-coverage", "lower-bound-check"])
+    # The panel pair's alternative declares rank r0 = 2, not below min(n, T).
+    (["panel-tradeoff", "--n", "2", "--T", "2"], 0),
+], ids=["entrywise-coverage", "lower-bound-check", "panel-tradeoff"])
 def test_invalid_grid_point_exit_code(argv, grid_point, capsys, monkeypatch):
     _assert_invalid_grid_point(argv, grid_point, capsys, monkeypatch)
 
@@ -252,6 +254,17 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
                     "--seed", "5", "--out", str(out1)]) == 0
     meta = json.loads((tmp_path / "env.csv.meta.json").read_text())
     assert meta["threads"] == 2
+
+
+@pytest.mark.parametrize("value, reason", [
+    ("abc", "invalid literal"), ("2.5", "invalid literal"), ("0", "threads must be >= 1"),
+])
+def test_threads_env_errors_name_the_variable(value, reason, monkeypatch, capsys):
+    monkeypatch.setenv("WEAKFACTOR_THREADS", value)
+    assert run_cli(["oracle-check", "--reps", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: environment variable WEAKFACTOR_THREADS: ")
+    assert reason in captured.err and captured.out == ""
 
 
 def test_lower_bound_check_same_result_at_two_threads(tmp_path):

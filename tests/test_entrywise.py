@@ -24,7 +24,6 @@ from weakfactor.entrywise import (
 from weakfactor.linalg import spectral_norm, svd_truncated, zero_entry_11
 from weakfactor.model import (
     FactorInstance,
-    make_rank_one,
     replication_rng,
     sample_observation,
 )
@@ -36,7 +35,7 @@ def random_rank_one(n=12, t=9, rng=RNG):
     l = rng.standard_normal(n)
     f = rng.standard_normal(t)
     l[1:] += np.sign(l[1:]) * 0.1  # keep mass off row 1
-    return make_rank_one(l, f)
+    return np.outer(l, f)
 
 
 def test_interval_basics():
@@ -270,7 +269,7 @@ def test_eigenvalue_ratio_khat_two_strong_factors():
     n = t = 100
     l2 = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     f2 = np.where(np.arange(t) % 2 == 0, 1.0, -1.0)
-    m = make_rank_one(np.full(n, 0.9), np.ones(t)) + make_rank_one(0.7 * l2, f2)
+    m = np.outer(np.full(n, 0.9), np.ones(t)) + np.outer(0.7 * l2, f2)
     inst = FactorInstance(m, kappa=1.6)
     hits = 0
     for r in range(200):
@@ -338,7 +337,7 @@ def test_naive_pretest_ci_matches_full_svd_pipeline(seed):
     f2 = np.where(np.arange(t) % 2 == 0, 1.0, -1.0)
     # One strong factor plus a second whose strength varies with the seed, so
     # that both one and two factors are detected across seeds.
-    m = make_rank_one(np.full(n, 0.9), np.ones(t)) + make_rank_one(0.3 * seed * l2, f2)
+    m = np.outer(np.full(n, 0.9), np.ones(t)) + np.outer(0.3 * seed * l2, f2)
     x = sample_observation(FactorInstance(m, kappa=2.0), replication_rng(105, 0, seed))
     iv = naive_pretest_ci(x)
     lower, upper = _naive_pretest_reference(x)

@@ -117,8 +117,8 @@ def _build_rank_one(gp, params):
 def _build_perturbation_arm(gp, params):
     n, t, kappa, eta = gp["n"], gp["T"], params["kappa"], params["eta"]
     base = FactorInstance(np.full((n, t), kappa * (1.0 - eta)), kappa)
-    pair = entry_perturbation_pair(base, eta=eta, kappa=kappa,
-                                   tau0=math.sqrt(n * t) / 24.0, tau2=params["tau2"])
+    pair = entry_perturbation_pair(base, eta=eta, tau0=math.sqrt(n * t) / 24.0,
+                                   tau2=params["tau2"])
     inst = pair.null_instance if gp["arm"] == "base" else pair.alt_instance
     return inst.mean[0, 0], inst, sample_observation
 
@@ -385,16 +385,29 @@ def test_csv_bytes_identical_whatever_blas_threads_the_caller_set(builder, n, t,
     assert files[0] == files[1]
 
 
-# The ground truths of one call (the matrices of panel_shift_pair, M1, D1 and
-# M1 - delta D1, and the means of the hidden-entry and of the rank-one testing
-# pair) have rank at most 2, so each is validated from the rank-4 sketch: no
-# values-only SVD has a shorter side above 4.
-@pytest.mark.parametrize("run", [
-    lambda: run_experiment(ex.panel_tradeoff_spec(n=24, t=24, reps=1)),
-    lambda: run_experiment(ex.pretest_control_spec(n=24, t=24, reps=1)),
-    lambda: ex.lr_power_check(n=24, t=24, reps=2),
+# Each ground truth is decomposed once, when its instance is built, and the
+# two-point pairs read the spectra and ranks their instances keep.  Every
+# ground truth has rank at most 2, so each spectrum is one values-only SVD of
+# the (4, T) rank-4 sketch, and none is a full SVD.  One build of a testing
+# pair takes 2 spectra (its two means), of a hidden-entry grid point 2 (the
+# base and the alternative), of a panel pair 4 (M and D of each arm).
+@pytest.mark.parametrize("generator, params, spectra", [
+    ("testing_pair_arm", {"tau": 2.0, "kappa": 1.0, "alpha": 0.05}, 2),
+    ("perturbation_pair_arm", {"kappa": 1.0, "eta": 0.25, "tau2": 1.0}, 2),
+    ("panel_pair_arm", {"kappa2": 10.0, "c": 3.9}, 4),
+], ids=["testing_pair", "hidden_entry", "panel_pair"])
+def test_spectra_per_pair_build(generator, params, spectra, svd_values_calls):
+    get_generator(generator)({"n": 24, "T": 24, "arm": "alt"}, params)
+    assert svd_values_calls == [(4, 24)] * spectra
+
+
+# Each grid point builds its pair once; lr_power_check builds one more
+# testing pair after its two grid points.
+@pytest.mark.parametrize("run, spectra", [
+    (lambda: run_experiment(ex.panel_tradeoff_spec(n=24, t=24, reps=1)), 2 * 4),
+    (lambda: run_experiment(ex.pretest_control_spec(n=24, t=24, reps=1)), 2 * 2),
+    (lambda: ex.lr_power_check(n=24, t=24, reps=2), 3 * 2),
 ], ids=["panel_tradeoff", "pretest_control", "lr_power_check"])
-def test_each_distinct_ground_truth_decomposed_once_per_call(run, svd_values_calls):
+def test_each_distinct_ground_truth_decomposed_once_per_call(run, spectra, svd_values_calls):
     run()
-    assert svd_values_calls
-    assert all(shape == (4, 24) for shape in svd_values_calls), svd_values_calls
+    assert svd_values_calls == [(4, 24)] * spectra

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from weakfactor import panel
 from weakfactor.experiments import panel_means
-from weakfactor.model import PanelInstance, make_rank_one, replication_rng, sample_panel
+from weakfactor.model import PanelInstance, replication_rng, sample_panel
 from weakfactor.panel import (
     DegenerateDesignError,
     ci_star,
@@ -104,7 +104,7 @@ def test_ls_estimator_trivial_cases():
 
 def test_ls_estimator_objective_monotone():
     x = RNG.standard_normal((15, 15))
-    y = make_rank_one(RNG.standard_normal(15), RNG.standard_normal(15)) + 0.7 * x
+    y = np.outer(RNG.standard_normal(15), RNG.standard_normal(15)) + 0.7 * x
     objectives = []
     for iters in range(1, 8):
         beta, a, _ = ls_estimator(x, y, rank=1, tol=0.0, max_iter=iters)
@@ -130,7 +130,7 @@ def test_ls_estimator_sd_matches_sigma_theta():
 
 def test_sigma_theta_examples():
     n, t = 12, 9
-    m = make_rank_one(np.ones(n), np.ones(t))
+    m = np.outer(np.ones(n), np.ones(t))
     inst = PanelInstance(m, np.zeros((n, t)), 1.0, 1.0, 0.0, r0=1, r1=0)
     assert sigma_theta(inst) == pytest.approx(1.0, rel=1e-12)
 
@@ -145,8 +145,8 @@ def test_sigma_theta_dense_oracle_and_bound():
     for r0 in (1, 2, 0):  # M of rank one, of rank two, and M = 0
         m = np.zeros((n, t))
         for _ in range(r0):
-            m += make_rank_one(RNG.standard_normal(n), RNG.standard_normal(t))
-        d = make_rank_one(RNG.standard_normal(n), RNG.standard_normal(t))
+            m += np.outer(RNG.standard_normal(n), RNG.standard_normal(t))
+        d = np.outer(RNG.standard_normal(n), RNG.standard_normal(t))
         inst = PanelInstance(m, d, sigma_eps=0.8, sigma_u=1.2, beta=0.1, r0=max(r0, 1), r1=1)
         pi_m = np.eye(n) - m @ np.linalg.pinv(m)
         pi_mt = np.eye(t) - m.T @ np.linalg.pinv(m.T)
