@@ -2,11 +2,12 @@
 
 The constructions here pin down what no procedure can do: pairs of parameter
 values whose observed-data distributions are provably close (or identical)
-while their targets differ.  Each constructor validates the membership
-conditions of the spaces it claims and attaches exact divergence values
+while their targets differ.  Each constructor checks that its instances lie
+in the parameter spaces its docstring claims, as inequalities on the spectra
+and ranks those instances kept (a failed check raises AssertionError naming
+the arm and the inequality), and attaches exact divergence values
 (chi-square cross moment, total-variation upper bound, Gaussian KL) that the
-Monte Carlo suite cross-checks empirically, from the spectra and ranks that
-their instances kept; nothing here decomposes a matrix.
+Monte Carlo suite cross-checks empirically; nothing here decomposes a matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .linalg import RANK_RTOL, zero_entry_11
-from .model import FactorInstance, PanelInstance, SpaceSpec, check_membership
+from .model import FactorInstance, PanelInstance
 
 __all__ = [
     "TwoPointPair",
@@ -42,6 +43,26 @@ class TwoPointPair:
     info: dict = field(default_factory=dict)
 
 
+# The space checks compare with the tolerance tol = RANK_RTOL max(sigma_1, 1),
+# so that exactly-constructed instances are not rejected for floating-point
+# reasons.  None re-checks the entry bound: a FactorInstance has
+# max|M| <= kappa (1 + 1e-12), and where max|M| > kappa, sigma_1 >= max|M|
+# puts the excess kappa 1e-12 below tol.
+def _top_two(inst: FactorInstance) -> tuple[float, float, float]:
+    """sigma_1 and sigma_2 of the kept spectrum (0 past its end), and tol."""
+    s = inst.spectrum
+    s1 = float(s[0]) if s.size else 0.0
+    s2 = float(s[1]) if s.size > 1 else 0.0
+    return s1, s2, RANK_RTOL * max(s1, 1.0)
+
+
+def _claim(arm: str, checks: dict) -> None:
+    """Raise AssertionError naming the arm and every inequality that fails."""
+    failed = [name for name, holds in checks.items() if not holds]
+    if failed:
+        raise AssertionError(f"{arm} mean fails {'; '.join(failed)}")
+
+
 def rank_one_testing_pair(
     n: int,
     t: int,
@@ -54,6 +75,9 @@ def rank_one_testing_pair(
     Both means share the loading (kappa/2, c1, ..., c1); the null factor has a
     zero first coordinate while the alternative's is c2, chosen so the
     total-variation distance between the observed-data laws is at most alpha.
+    Both means lie in the one-factor space (sigma_1 >= tau, sigma_2 = 0,
+    entries bounded by kappa); the null's (1,1) entry is 0 and the
+    alternative's is the separation c2 kappa/2.
     Requires 0 < tau <= kappa sqrt(nT) / 12.  The large loading kappa/2 sits
     in row 1 and the perturbed factor coordinate in column 1; to swap the
     roles of n and T, build the pair at (t, n) and transpose both means.
@@ -81,12 +105,20 @@ def rank_one_testing_pair(
     null, alt = FactorInstance(null_m, kappa), FactorInstance(alt_m, kappa)
 
     separation = c2 * kappa / 2.0
-    null_spec = SpaceSpec(kind="null_entry", kappa=kappa, tau=tau)
-    alt_spec = SpaceSpec(kind="separated_entry", kappa=kappa, tau=tau, rho=separation)
-    for name, inst, spec in (("null", null, null_spec), ("alt", alt, alt_spec)):
-        report = check_membership(inst, spec)
-        if not report:
-            raise AssertionError(f"{name} mean failed membership:\n{report}")
+    for arm, inst in (("null", null), ("alt", alt)):
+        s1, s2, tol = _top_two(inst)
+        m11 = abs(inst.mean[0, 0])
+        checks = {
+            f"sigma_1 = {s1:.6g} >= tau - tol = {tau - tol:.6g}": s1 >= tau - tol,
+            f"sigma_2 = {s2:.6g} <= 2 tol = {2 * tol:.6g}": s2 <= 2 * tol,
+        }
+        if arm == "null":
+            checks[f"|M11| = {m11:.6g} <= 2 tol = {2 * tol:.6g}"] = m11 <= 2 * tol
+        else:
+            checks[f"|M11| = {m11:.6g} >= separation - tol = {separation - tol:.6g}"] = (
+                m11 >= separation - tol
+            )
+        _claim(arm, checks)
 
     diff_sq = c1**2 * c2**2 * (n - 1)
     info = {
@@ -114,21 +146,25 @@ def entry_perturbation_pair(
 
     The base, the null instance, must be a strict one-factor instance with
     headroom eta (entry bound kappa(1-eta) for kappa = base.kappa, strength
-    at least tau0(1+eta) by its kept spectrum).  The alternative adds
-    c0 = min{kappa eta, tau0 eta, tau2} to entry (1,1) only, landing inside
-    the strong-plus-weak space while the observed data (entry (1,1) removed)
-    are bit-for-bit identical.
+    at least tau0(1+eta) by its kept spectrum), and 0 < tau2 <= tau0.  The
+    alternative adds c0 = min{kappa eta, tau0 eta, tau2} to entry (1,1) only,
+    landing inside the strong-plus-weak space (sigma_1 >= tau0,
+    sigma_2 <= tau2) while the observed data (entry (1,1) removed) are
+    bit-for-bit identical.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must be in (0, 1)")
     if not (tau0 > 0 and tau2 > 0):
         raise ValueError(f"tau0 and tau2 must be > 0, got {tau0:g} and {tau2:g}")
-    m, s, kappa = base.mean, base.spectrum, base.kappa
+    if tau2 > tau0:
+        raise ValueError(f"tau2 = {tau2:g} must not exceed tau0 = {tau0:g}")
+    m, kappa = base.mean, base.kappa
+    s1, s2, _ = _top_two(base)
     if np.max(np.abs(m)) > kappa * (1 - eta) * (1 + 1e-12):
         raise ValueError("base violates the entry bound kappa(1 - eta)")
-    if s[0] < tau0 * (1 + eta) * (1 - 1e-12):
+    if s1 < tau0 * (1 + eta) * (1 - 1e-12):
         raise ValueError("base strength below tau0(1 + eta)")
-    if s.size > 1 and s[1] > RANK_RTOL * s[0]:
+    if s2 > RANK_RTOL * s1:
         raise ValueError("base is not a one-factor instance")
 
     c0 = min(kappa * eta, tau0 * eta, tau2)
@@ -138,10 +174,11 @@ def entry_perturbation_pair(
         raise AssertionError("perturbation leaked outside entry (1,1)")
 
     alt = FactorInstance(alt_m, kappa)
-    alt_spec = SpaceSpec(kind="strong_plus_weak", kappa=kappa, tau1=tau0, tau2=tau2)
-    report = check_membership(alt, alt_spec)
-    if not report:
-        raise AssertionError(f"perturbed mean failed membership:\n{report}")
+    s1, s2, tol = _top_two(alt)
+    _claim("alt", {
+        f"sigma_1 = {s1:.6g} >= tau0 - tol = {tau0 - tol:.6g}": s1 >= tau0 - tol,
+        f"sigma_2 = {s2:.6g} <= tau2 + tol = {tau2 + tol:.6g}": s2 <= tau2 + tol,
+    })
 
     return TwoPointPair(
         null_instance=base, alt_instance=alt, separation=c0, info={"c0": c0, "tv_upper": 0.0},

@@ -91,7 +91,7 @@ _OPTIONS = {
         "--threads", int, minimum=1, help="worker cap (default: WEAKFACTOR_THREADS or 1)"
     ),
     "reps": Option("--reps", int, minimum=1, help="replications per grid point"),
-    "seed": Option("--seed", int, help="master seed"),
+    "seed": Option("--seed", int, minimum=0, help="master seed"),
     "n": Option("--n", int, minimum=2),
     "T": Option("--T", int, minimum=2),
     "mode": Option("--mode", choices=tuple(_RATE_BUILDERS), help="grid direction (default tau)"),

@@ -27,8 +27,8 @@ where sigma_1 and sigma_2 nearly tie) falls back to the Gram route.  Below
 :func:`svd_truncated` stays on it at every size: its callers need triplets
 inside or near the noise bulk, where Lanczos converges slowly.
 
-Ground-truth validation (instance construction, membership checks and the
-two-point pairs) takes every singular-value spectrum it needs from
+Ground-truth validation (instance construction and the two-point pairs)
+takes every singular-value spectrum it needs from
 :func:`singular_values`.  Every ground truth built here has rank at most 2,
 so that function first tries a randomized range finder of width 4 with an
 explicit residual certificate: O(nT) work instead of the O(nT min(n, T)) of
@@ -75,7 +75,7 @@ __all__ = [
 
 # Relative tolerance used both for numerical-rank decisions
 # (sigma_{k+1} <= RANK_RTOL * sigma_1 counts as rank <= k) and for
-# inequality slack in membership checks.
+# inequality slack in the two-point pairs' space checks.
 RANK_RTOL = 1e-8
 
 

@@ -16,7 +16,8 @@ from weakfactor.adversarial import (
     tv_discrepancy_upper,
 )
 from weakfactor.experiments import orthogonal_unit_pair, panel_means
-from weakfactor.linalg import zero_entry_11
+from weakfactor import model
+from weakfactor.linalg import RANK_RTOL, zero_entry_11
 from weakfactor.model import FactorInstance, replication_rng, sample_observation
 
 RNG = np.random.default_rng(5)
@@ -83,15 +84,85 @@ def test_perturbation_pair_validation():
         entry_perturbation_pair(weak_base, eta=0.5, tau0=5.0, tau2=1.0)
 
 
-@pytest.mark.parametrize("tau0, tau2", [(4.0, 0.0), (4.0, -1.0), (0.0, 1.0), (-1.0, 1.0)])
+@pytest.mark.parametrize("tau0, tau2", [(4.0, 0.0), (4.0, -1.0), (0.0, 1.0), (-1.0, 1.0),
+                                        (4.0, 5.0)])
 def test_perturbation_pair_rejects_nonpositive_strengths(tau0, tau2, monkeypatch):
     base = FactorInstance(np.full((30, 30), 0.5), 1.0)
     svd_calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svd_calls.append(a) or svd(*a, **k))
-    with pytest.raises(ValueError, match="tau0 and tau2 must be > 0"):
+    if tau0 > 0 and tau2 > 0:
+        match = f"tau2 = {tau2:g} must not exceed tau0 = {tau0:g}"
+    else:
+        match = "tau0 and tau2 must be > 0"
+    with pytest.raises(ValueError, match=match):
         entry_perturbation_pair(base, eta=0.5, tau0=tau0, tau2=tau2)
     assert svd_calls == []
+
+
+def _svd_tol(m):
+    s = np.linalg.svd(m, compute_uv=False)
+    return s, RANK_RTOL * max(s[0], 1.0)
+
+
+@given(n=st.integers(2, 30), t=st.integers(2, 30), frac=st.floats(1e-3, 1.0),
+       kappa=st.floats(0.1, 10.0), alpha=st.floats(1e-3, 0.999))
+@settings(max_examples=60, deadline=None)
+def test_testing_pair_lies_in_the_spaces_it_claims(n, t, frac, kappa, alpha):
+    tau = frac * kappa * math.sqrt(n * t) / 12.0
+    pair = rank_one_testing_pair(n, t, tau, kappa, alpha)
+    null_m, alt_m = pair.null_instance.mean, pair.alt_instance.mean
+    for m in (null_m, alt_m):
+        s, tol = _svd_tol(m)
+        assert s[0] >= tau - tol and s[1] <= 2 * tol
+        assert np.max(np.abs(m)) <= kappa
+    assert abs(null_m[0, 0]) <= 2 * _svd_tol(null_m)[1]
+    assert abs(alt_m[0, 0]) >= pair.separation - _svd_tol(alt_m)[1]
+    assert np.array_equal(null_m[:, 1:], alt_m[:, 1:])
+    assert pair.info["tv_upper"] <= alpha
+
+
+@given(n=st.integers(2, 30), t=st.integers(2, 30), eta=st.floats(0.01, 0.99),
+       kappa=st.floats(0.1, 10.0), strength=st.floats(1e-3, 1.0),
+       weak=st.floats(1e-3, 1.0), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_perturbation_pair_lies_in_the_spaces_it_claims(n, t, eta, kappa, strength, weak, seed):
+    # A rank-one base within the headroom, tau0 up to its strength / (1 + eta)
+    # and tau2 up to tau0.
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, t)
+    base = FactorInstance(kappa * (1 - eta) * np.outer(a, b), kappa)
+    tau0 = strength * base.spectrum[0] / (1 + eta)
+    tau2 = weak * tau0
+    pair = entry_perturbation_pair(base, eta, tau0, tau2)
+    null_m, alt_m = pair.null_instance.mean, pair.alt_instance.mean
+    s, tol = _svd_tol(null_m)
+    assert np.max(np.abs(null_m)) <= kappa * (1 - eta) and s[1] <= 2 * tol
+    s, tol = _svd_tol(alt_m)
+    assert s[0] >= tau0 - tol and s[1] <= tau2 + tol
+    assert np.max(np.abs(alt_m)) <= kappa * (1 + 1e-12)
+    assert pair.separation == min(kappa * eta, tau0 * eta, tau2)
+    assert alt_m[0, 0] - null_m[0, 0] == pytest.approx(pair.separation, rel=1e-12)
+    assert np.array_equal(zero_entry_11(null_m), zero_entry_11(alt_m))
+
+
+@pytest.mark.parametrize("build, failure", [
+    (lambda base: rank_one_testing_pair(20, 30, 1.0, 1.0, 0.05), "null mean fails sigma_2"),
+    (lambda base: entry_perturbation_pair(base, 0.5, 4.0, 1.0), "alt mean fails sigma_2"),
+], ids=["testing_pair", "perturbation_pair"])
+def test_failed_space_check_names_the_arm(build, failure, monkeypatch):
+    # Instances built while sigma_2 is kept as half of sigma_1 are not one-factor.
+    base = FactorInstance(np.full((30, 30), 0.5), 1.0)
+    spectrum = model.singular_values
+
+    def half_sigma_2(m):
+        s = spectrum(m).copy()
+        s[1] = 0.5 * s[0]
+        return s
+
+    monkeypatch.setattr(model, "singular_values", half_sigma_2)
+    with pytest.raises(AssertionError, match=failure):
+        build(base)
 
 
 def test_panel_shift_pair_kl_values():

@@ -118,15 +118,22 @@ def test_bad_config_value_exit_code(sub, ini, tmp_path, capsys):
     (["adaptivity-demo", "--alpha", "0"], {}),
     (["panel-tradeoff", "--c", "5"], {}),
     (["panel-tradeoff", "--c", "0"], {}),
+    (["entrywise-coverage", "--seed", "-1"], {}),
+    (["entrywise-coverage", "--config", "seed-1.ini"], {}),
+    (["oracle-check", "--seed", "-1"], {}),
+    (["oracle-check", "--config", "seed-1.ini"], {}),
 ])
 def test_invalid_size_exit_code(flags, tmp_path, monkeypatch, capsys):
     argv, env = flags
     monkeypatch.chdir(tmp_path)
     (tmp_path / "threads0.ini").write_text("[common]\nthreads = 0\n")
+    (tmp_path / "seed-1.ini").write_text("[common]\nseed = -1\n")
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     assert run_cli(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""  # nothing ran
 
 
 # panel-rate, and entrywise-rate in size mode, run their builders' own sizes.
@@ -173,14 +180,16 @@ def _assert_invalid_grid_point(argv, grid_point, capsys, monkeypatch):
     assert captured.err.startswith("error: ")
     assert f"grid point {grid_point}" in captured.err and "cannot be built" in captured.err
     assert draws == [] and captured.out == ""  # no replication ran
+    return captured.err
 
 
 def test_experiment_failure_exit_code(capsys, monkeypatch):
     # A grid point that cannot be built is invalid input: exit 2 before any
     # replication runs.  At n = T = 10 the hidden-entry pair has no room for
-    # its perturbation (tau0 = sqrt(nT)/24 < tau2).
-    _assert_invalid_grid_point(["adaptivity-demo", "--n", "10", "--T", "10"], 0,
-                               capsys, monkeypatch)
+    # its perturbation (tau0 = sqrt(nT)/24 < tau2), and the message names both.
+    err = _assert_invalid_grid_point(["adaptivity-demo", "--n", "10", "--T", "10"], 0,
+                                     capsys, monkeypatch)
+    assert "tau2 = 1 must not exceed tau0 = 0.416667" in err
 
 
 @pytest.mark.parametrize("argv, grid_point", [

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from weakfactor.model import (
     FactorInstance,
     PanelInstance,
-    SpaceSpec,
-    check_membership,
     replication_rng,
     sample_observation,
     sample_panel,
@@ -52,60 +50,6 @@ def test_panel_instance_validation():
     with pytest.raises(ValueError):
         PanelInstance(m + np.eye(4, 5), d, sigma_eps=1.0, sigma_u=1.0, beta=0.5,
                       r0=1, r1=1)  # rank(M) > r0
-
-
-def test_space_spec_validation():
-    SpaceSpec(kind="one_factor", kappa=1.0, tau=5.0)
-    with pytest.raises(ValueError):
-        SpaceSpec(kind="one_factor", kappa=1.0)
-    with pytest.raises(ValueError):
-        SpaceSpec(kind="strong_plus_weak", kappa=1.0, tau1=1.0, tau2=2.0)
-    with pytest.raises(ValueError):
-        SpaceSpec(kind="separated_entry", kappa=1.0, tau=1.0)
-    with pytest.raises(ValueError):
-        SpaceSpec(kind="bogus", kappa=1.0, tau=1.0)
-
-
-def test_membership_one_factor():
-    m = np.outer(np.full(10, 0.5), np.ones(10))
-    inst = FactorInstance(m, kappa=1.0)
-    tau = np.linalg.svd(m, compute_uv=False)[0]
-    report = check_membership(inst, SpaceSpec(kind="one_factor", kappa=1.0, tau=tau))
-    assert report
-    assert all(sat for _, sat, _ in report.checks)
-    # Demanding more strength than available fails with a named check.
-    report = check_membership(inst, SpaceSpec(kind="one_factor", kappa=1.0, tau=tau + 1))
-    assert not report
-    failed = [name for name, sat, _ in report.checks if not sat]
-    assert failed == ["sigma_1 >= tau"]
-
-
-def test_membership_null_and_separated_entry():
-    inst = FactorInstance(np.outer(np.r_[0.0, 0.3, 0.3], np.ones(4)), kappa=1.0)
-    assert check_membership(inst, SpaceSpec(kind="null_entry", kappa=1.0, tau=0.5))
-    inst2 = FactorInstance(np.outer(np.r_[0.4, 0.3, 0.3], np.ones(4)), kappa=1.0)
-    assert check_membership(
-        inst2, SpaceSpec(kind="separated_entry", kappa=1.0, tau=0.5, rho=0.4)
-    )
-    assert not check_membership(
-        inst2, SpaceSpec(kind="separated_entry", kappa=1.0, tau=0.5, rho=0.5)
-    )
-
-
-def test_membership_strong_plus_weak():
-    m = (np.outer(np.full(8, 1.0), np.ones(8))
-         + np.outer(np.r_[0.1, np.zeros(7)], np.r_[0.1, np.zeros(7)]))
-    s = np.linalg.svd(m, compute_uv=False)
-    spec = SpaceSpec(kind="strong_plus_weak", kappa=1.1, tau1=s[0], tau2=s[1] + 1e-9)
-    assert check_membership(FactorInstance(m, kappa=1.1), spec)
-
-
-def test_membership_report_str():
-    # The instance admits entries up to 2; the space only up to 1.
-    inst = FactorInstance(np.full((2, 2), 2.0), kappa=2.0)
-    report = check_membership(inst, SpaceSpec(kind="one_factor", kappa=1.0, tau=1.0))
-    text = str(report)
-    assert "FAIL" in text and "max|entry| <= kappa" in text
 
 
 def test_replication_rng_deterministic_and_independent():
