@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 from .linalg import _KRYLOV_RTOL, SvdResult, spectral_norm, svd_truncated
 from .model import DEFAULT_SEED
@@ -275,7 +275,7 @@ def naive_pretest_ci(x, alpha: float = 0.05) -> Interval:
         raise DegenerateLoadingError("singular score covariance") from exc
     sigma2 = _residual_mean_square(w, top, khat)
     se = math.sqrt(max(sigma2 * (h_row + h_col), 0.0))
-    z = special.ndtri(1.0 - alpha / 2.0)  # the normal quantile, without importing scipy.stats
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)  # Wichura's AS241
     return Interval(value - z * se, value + z * se)
 
 

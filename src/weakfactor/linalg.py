@@ -9,9 +9,9 @@ The estimators need only their leading k <= 4 singular triplets, so
 the Gram matrix of the shorter side from LAPACK's subset eigensolver
 (``dsyevr``) instead of a full SVD, and :func:`svd_truncated` recovers the
 triplets with one small k x T SVD (a Rayleigh-Ritz step).  The solver is
-scipy's own ``dsyevr``, taken from ``scipy.linalg.cython_lapack`` and called
-through ctypes with the arguments ``scipy.linalg.eigh`` passes it (so with
-bitwise-equal results), but without the GIL: worker threads solve
+``dsyevr`` from the OpenBLAS that numpy bundles, called through ctypes with
+the arguments ``scipy.linalg.eigh`` passes it (so with results equal to
+scipy's bit for bit), and without the GIL: worker threads solve
 concurrently instead of queueing on the interpreter lock.  The rank checks
 keep the full SVD, because their 1e-8 relative cutoff lies below the
 sqrt(eps) that Gram eigenvalues resolve.
@@ -40,10 +40,11 @@ Every public function refuses input that is not 2-D or has a non-finite
 entry (outside entry (1,1) for :func:`zero_entry_11`) with ``ValueError``
 before any decomposition.
 
-numpy and scipy each bundle their own OpenBLAS with its own thread pool.
-:func:`single_blas_thread` caps both at one thread; replications run under
-it in parallel, and the two top-k kernels cap themselves, so that the pools
-never compete for the cores whoever calls them.
+Every BLAS and LAPACK call here (through numpy, or through ctypes for
+``dsyevr``, ``dstemr`` and ``dgemm``) runs in the thread pool of numpy's
+bundled OpenBLAS.  :func:`single_blas_thread` caps it at one thread;
+replications run under it in parallel, and the kernels cap themselves.
+Without a bundled OpenBLAS each ctypes routine's site takes a numpy route.
 """
 
 from __future__ import annotations
@@ -53,12 +54,10 @@ import ctypes
 import functools
 import glob
 import os
-from typing import NamedTuple
+import threading
+from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg.blas
-import scipy.linalg.cython_lapack
-import scipy.linalg.lapack
 
 __all__ = [
     "SvdResult",
@@ -125,37 +124,37 @@ def _orient_columns(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 @functools.cache
-def _openblas_threads():
-    """(get, set) of the thread count of each bundled OpenBLAS, or ().
+def _openblas():
+    """numpy's bundled OpenBLAS as a ctypes library, or None.
 
     Looked up on first use, not at import.  numpy wheels ship OpenBLAS in
-    numpy.libs with 64-bit-integer symbols, scipy wheels their own in
-    scipy.libs with plain ones; ctypes.CDLL returns the copy each has already
-    loaded.  A package built against another BLAS contributes no pair.
+    numpy.libs with 64-bit-integer symbols; ctypes.CDLL returns the copy
+    numpy has already loaded.  A numpy built against another BLAS has none.
     """
-    pools = []
-    for package, suffix in ((np, "64_"), (scipy, "")):
-        libs = f"{package.__name__}.libs"
-        pattern = os.path.join(os.path.dirname(package.__file__), os.pardir, libs, "*openblas*")
-        for path in sorted(glob.glob(pattern)):
-            lib = ctypes.CDLL(path)
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                pools.append((get, set_))
-                break
-    return tuple(pools)
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    paths = sorted(glob.glob(pattern))
+    return ctypes.CDLL(paths[0]) if paths else None
+
+
+@functools.cache
+def _openblas_threads():
+    """((get, set),) of the thread count of numpy's bundled OpenBLAS, or ()."""
+    get = getattr(_openblas(), "scipy_openblas_get_num_threads64_", None)
+    set_ = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
+    if get is None or set_ is None:
+        return ()
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return ((get, set_),)
 
 
 @contextlib.contextmanager
 def single_blas_thread():
-    """Run the body with every bundled OpenBLAS on one thread.
+    """Run the body with numpy's bundled OpenBLAS on one thread.
 
-    Each pool's previous thread count is restored on exit, so a nested use
-    changes nothing.  Without a bundled OpenBLAS nothing changes.  The counts
-    are process-wide, so the body's worker threads run on one BLAS thread
+    The pool's previous thread count is restored on exit, so a nested use
+    changes nothing.  Without a bundled OpenBLAS nothing changes.  The count
+    is process-wide, so the body's worker threads run on one BLAS thread
     each instead of competing with BLAS threads for the cores.  Threads that
     enter it concurrently without an enclosing use may restore each other's
     counts out of order; start them inside one use, as run_experiment does.
@@ -184,56 +183,76 @@ def _scaled(a: np.ndarray, top: float) -> tuple[np.ndarray, int]:
     return np.ldexp(a, -e), e
 
 
-# dsyevr's 21 arguments, each a pointer: c to char, i to int, d to double.
-_DSYEVR_ARGS = "cccididdiididdiidiiii"
+# The Fortran arguments of each routine taken from numpy's OpenBLAS, each a
+# pointer: c to a character, i to a 64-bit integer, d to a double.
+_ROUTINES = {
+    "dsyevr": "cccididdiididdiidiiii",
+    "dstemr": "cciddddiiiddiiiidiiii",
+    "dgemm": "cciiiddididdi",
+}
 
 
 @functools.cache
-def _dsyevr():
-    """scipy's LAPACK dsyevr as a ctypes function that releases the GIL.
+def _lapack() -> dict | None:
+    """{name: routine} of _ROUTINES in numpy's bundled OpenBLAS, or None.
 
-    cython_lapack exports it as a capsule whose name is its C signature; the
-    signature is checked against _DSYEVR_ARGS once, here, so that a scipy
-    built with other integer widths fails loudly instead of corrupting memory.
-    Arrays are passed by address (c_void_p), the cheapest conversion.
+    Only a library reporting 64-bit integers, the width every integer is
+    passed at, is used.  Pointers are c_void_p (all 64 bits of an address);
+    ctypes releases the GIL during each call.  gfortran appends each
+    character argument's length, a size_t, which a routine in C ignores.
     """
-    capsule = scipy.linalg.cython_lapack.__pyx_capi__["dsyevr"]
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    name = get_name(capsule)
-    head, _, args = name.decode().partition("(")
-    args = args.rstrip(")").split(", ")
-    double = args[4] if len(args) > 4 else ""  # cython's typedef name for double
-    expected = [{"c": "char *", "i": "int *", "d": double}[code] for code in _DSYEVR_ARGS]
-    if head.strip() != "void" or args != expected or not double.endswith(" *"):
-        raise RuntimeError(f"unexpected dsyevr signature in scipy.linalg.cython_lapack: {name!r}")
-    argtypes = [ctypes.c_char_p if code == "c" else ctypes.c_void_p for code in _DSYEVR_ARGS]
-    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, name))
+    config = getattr(_openblas(), "scipy_openblas_get_config64_", None)
+    if config is None:
+        return None
+    config.argtypes, config.restype = [], ctypes.c_char_p
+    if b"USE64BITINT" not in config().split():
+        return None
+    routines = {}
+    for name, codes in _ROUTINES.items():
+        routine = getattr(_openblas(), f"scipy_{name}_64_", None)
+        if routine is None:
+            return None
+        routine.argtypes = ([ctypes.c_char_p if code == "c" else ctypes.c_void_p for code in codes]
+                            + [ctypes.c_size_t] * codes.count("c"))
+        routine.restype = None
+        routines[name] = routine
+    return routines
+
+
+# How _bind passes each type of Fortran argument.
+_PASS = {
+    bytes: lambda arg: arg,
+    np.ndarray: lambda arg: arg.ctypes.data,
+    int: lambda arg: ctypes.byref(ctypes.c_int64(arg)),
+    float: lambda arg: ctypes.byref(ctypes.c_double(arg)),
+    ctypes.c_int64: ctypes.byref,
+}
+
+
+def _bind(name: str, *args) -> Callable[[], None]:
+    """_lapack()[name] with its Fortran arguments bound: bytes as characters,
+    arrays by address, ints and floats by reference to an int64 or a double,
+    a c_int64 (an output) by reference, and each character's hidden length.
+    The arrays and outputs must outlive every call."""
+    refs = [_PASS[type(arg)](arg) for arg in args]
+    return functools.partial(_lapack()[name], *refs, *[1] * _ROUTINES[name].count("c"))
 
 
 def _call_dsyevr(jobz, m, a, lo, hi, w, z, ldz, work, lwork, iwork, liwork):
     # range "I" (il = lo + 1, iu = hi + 1), uplo "L" and abstol 0, as
     # scipy.linalg.eigh(subset_by_index=[lo, hi]) passes them.  Returns
     # (number of eigenvalues found, info).
-    c_int, byref = ctypes.c_int, ctypes.byref
-    found, info, zero = c_int(), c_int(), ctypes.c_double(0.0)
-    isuppz = np.empty(2 * (hi - lo + 1), dtype=np.intc)
-    _dsyevr()(
-        jobz, b"I", b"L", byref(c_int(m)), a.ctypes.data, byref(c_int(m)),
-        byref(zero), byref(zero), byref(c_int(lo + 1)), byref(c_int(hi + 1)), byref(zero),
-        byref(found), w.ctypes.data, z.ctypes.data, byref(c_int(ldz)), isuppz.ctypes.data,
-        work.ctypes.data, byref(c_int(lwork)), iwork.ctypes.data, byref(c_int(liwork)),
-        byref(info),
-    )
+    found, info = ctypes.c_int64(), ctypes.c_int64()
+    isuppz = np.empty(2 * (hi - lo + 1), dtype=np.int64)
+    _bind("dsyevr", jobz, b"I", b"L", m, a, m, 0.0, 0.0, int(lo) + 1, int(hi) + 1, 0.0, found,
+          w, z, ldz, isuppz, work, lwork, iwork, liwork, info)()
     return found.value, info.value
 
 
 @functools.cache
 def _dsyevr_workspace(m: int, jobz: bytes) -> tuple[int, int]:
     """Optimal (lwork, liwork) of dsyevr at order m, from a workspace query."""
-    work, iwork = np.empty(1), np.empty(1, dtype=np.intc)
+    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
     a, w, z = np.empty((m, m), order="F"), np.empty(m), np.empty((m, 1), order="F")
     _, info = _call_dsyevr(jobz, m, a, 0, 0, w, z, m, work, -1, iwork, -1)
     if info != 0:
@@ -249,18 +268,22 @@ def _subset_eigh(gram: np.ndarray, lo: int, hi: int, vectors: bool):
     subset_by_index=[lo, hi], check_finite=False), but the solve runs
     without the GIL.  Reads the lower triangle of a Fortran-order copy; like
     check_finite=False, it assumes finite entries (its callers check them).
+    Without dsyevr (_lapack() is None) it slices numpy's full eigh.
     """
     m = gram.shape[0]
     if gram.shape != (m, m) or not 0 <= lo <= hi < m:
         raise ValueError(f"need a square matrix and 0 <= lo <= hi < m, got shape "
                          f"{gram.shape}, lo={lo}, hi={hi}")
+    if _lapack() is None:
+        w, z = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
+        return w[lo:hi + 1], (z[:, lo:hi + 1] if vectors else None)
     count = hi - lo + 1
     jobz = b"V" if vectors else b"N"
     lwork, liwork = _dsyevr_workspace(m, jobz)
     a = np.array(gram, dtype=float, order="F")
     w = np.empty(m)
     z = np.empty((m, count) if vectors else (1, 1), order="F")
-    work, iwork = np.empty(lwork), np.empty(liwork, dtype=np.intc)
+    work, iwork = np.empty(lwork), np.empty(liwork, dtype=np.int64)
     found, info = _call_dsyevr(jobz, m, a, lo, hi, w, z, z.shape[0], work, lwork, iwork, liwork)
     if info != 0 or found != count:
         raise np.linalg.LinAlgError(
@@ -335,6 +358,19 @@ def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> float:
     return float(np.linalg.norm(w))
 
 
+@functools.lru_cache(maxsize=256)
+def _dstemr(thread: int, n: int):
+    """(call, d, e, w, z, flags): dstemr at order n, with the arguments of
+    scipy.linalg.lapack.dstemr bound once per order and per thread (threads
+    solve concurrently), so that a Krylov step pays for the solve alone.
+    flags are found, tryrac and info; the views keep both buffers alive."""
+    x, ints = np.empty(22 * n), np.empty(10 * n + 5, dtype=np.int64)
+    d, e, w, z, work = x[:n], x[n:2 * n], x[2 * n:3 * n], x[3 * n:4 * n], x[4 * n:]
+    call = _bind("dstemr", b"V", b"I", n, d, e, 0.0, 0.0, n, n, ints[0:], w, z, n, n, ints[3:],
+                 ints[1:], work, 18 * n, ints[5:], 10 * n, ints[2:])
+    return call, d, e, w, z, ints[:3]
+
+
 def _ritz_top(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, np.ndarray] | None:
     """Largest singular value of the upper-bidiagonal B and its vectors.
 
@@ -343,16 +379,18 @@ def _ritz_top(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, np.ndarray] |
     beta_0, alpha_1, ..., alpha_{k-1}) has eigenvalues +-sigma_i(B); the
     eigenvector z of its largest interleaves the right and left singular
     vectors, y = z[0::2] and x = z[1::2], each of norm 1/sqrt(2).  Solved by
-    LAPACK's dstemr for that one eigenpair; None if dstemr fails.
+    LAPACK's dstemr for that one eigenpair; None if it fails.
     """
-    k = alpha.size
-    off = np.zeros(2 * k)  # dstemr takes the off-diagonal padded to length 2k
-    off[0::2] = alpha
-    off[1:-1:2] = beta
-    found, w, z, info = scipy.linalg.lapack.dstemr(np.zeros(2 * k), off, 2, 0.0, 0.0, 2 * k, 2 * k)
-    if info != 0 or found != 1:
+    call, d, e, w, z, flags = _dstemr(threading.get_ident(), 2 * alpha.size)
+    d[:] = 0.0  # dstemr overwrites d and e
+    e[-1] = 0.0  # it takes the off-diagonal padded to length 2k
+    e[0::2] = alpha
+    e[1:-1:2] = beta
+    flags[1] = 1  # tryrac, which dstemr may clear
+    call()
+    if flags[2] != 0 or flags[0] != 1:
         return None
-    return float(w[0]), z[:, 0]
+    return float(w[0]), z.copy()
 
 
 def _krylov_norm(b: np.ndarray) -> float | None:
@@ -366,8 +404,10 @@ def _krylov_norm(b: np.ndarray) -> float | None:
     sigma = |b v| and u = b v / sigma, it holds when
     |b'u - sigma v| <= _KRYLOV_RTOL sigma.  Returns sigma if it holds, None
     if it does not within the cap or the recurrence or the Ritz solve
-    breaks down.
+    breaks down, and None without dstemr (_lapack() is None).
     """
+    if _lapack() is None:
+        return None
     b = np.ascontiguousarray(b)
     m, t = b.shape
     steps = _KRYLOV_STEPS
@@ -503,9 +543,13 @@ def singular_values(a) -> np.ndarray:
             q = np.linalg.qr(b @ _krylov_start(b.shape[1], _SKETCH_WIDTH).T)[0]
             c = q.T @ b
             s = np.linalg.svd(c, compute_uv=False)
-            # b - QB as one BLAS call written over b, which is a copy.
-            rho = np.linalg.norm(scipy.linalg.blas.dgemm(-1.0, c.T, q.T, 1.0, b.T,
-                                                         overwrite_c=True))
+            if _lapack() is None:
+                b = b - q @ c
+            else:  # b - QB written over b, a copy: b' - c'q' by dgemm in column-major terms
+                b, q, c = (np.ascontiguousarray(x) for x in (b, q, c))
+                _bind("dgemm", b"N", b"N", b.shape[1], b.shape[0], _SKETCH_WIDTH, -1.0, c,
+                      b.shape[1], q, _SKETCH_WIDTH, 1.0, b, b.shape[1])()
+            rho = np.linalg.norm(b)
         if rho <= _SKETCH_RTOL * s[0]:
             out = np.zeros(min(a.shape))
             out[:_SKETCH_WIDTH] = np.ldexp(s, e)

@@ -471,11 +471,56 @@ def test_each_ground_truth_decomposed_once_per_command(argv, svd_values_calls):
     assert all(min(shape) <= 4 for shape in svd_values_calls), svd_values_calls
 
 
-def test_importing_the_cli_does_not_import_scipy_stats():
-    # scipy.stats doubles the import time of the command-line interface.
+# Every subcommand at small sizes, then noise_norm_check at n = T = 200 (Krylov
+# steps, so dstemr) and one ground truth (its spectrum's sketch, so dgemm).
+# With "blocked" as its first argument the run fails any import of scipy.
+_SCIPY_FREE_RUN = """
+import json, os, sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+    try:
+        import scipy.linalg
+    except ImportError:
+        pass
+    else:
+        raise SystemExit("scipy was not blocked")
+import numpy as np
+from weakfactor import cli, experiments, model
+out = sys.argv[2]
+for i, argv in enumerate(json.loads(sys.argv[3])):
+    code = cli.main(argv + ["--out", os.path.join(out, f"{i}-{argv[0]}")])
+    if code != 0:
+        raise SystemExit(f"{argv}: exit {code}")
+print(json.dumps(experiments.noise_norm_check(n=200, t=200, reps=2)))
+u, v = np.linspace(-1.0, 1.0, 40), np.cos(np.arange(30.0))
+truth = model.FactorInstance(np.outer(u, v) + 0.5 * np.outer(u**2, v**2), kappa=2.0)
+print(truth.spectrum.tobytes().hex())
+print(sorted(name for name, module in sys.modules.items() if name.startswith("scipy") and module))
+"""
+_SMALL_RUNS = [
+    ["entrywise-rate", "--n", "20", "--T", "20", "--reps", "2"],
+    ["entrywise-coverage", "--n", "20", "--T", "20", "--reps", "2"],
+    ["adaptivity-demo", "--n", "30", "--T", "30", "--reps", "2"],
+    ["lower-bound-check", "--n", "20", "--T", "20", "--reps", "20"],
+    ["panel-rate", "--panel-config", "strong", "--reps", "1"],
+    ["panel-tradeoff", "--n", "20", "--T", "20", "--reps", "2"],
+    ["oracle-check", "--n", "4", "--T", "4", "--reps", "200"],
+]
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    assert sorted(run[0] for run in _SMALL_RUNS) == sorted(cli._SUBCOMMANDS)
     src = os.path.dirname(os.path.dirname(os.path.abspath(weakfactor.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, weakfactor.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    runs = {}
+    for mode in ("blocked", "plain"):
+        out = tmp_path / mode
+        out.mkdir()
+        proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN, mode, str(out),
+                               json.dumps(_SMALL_RUNS)],
+                              env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.splitlines()[-1] == b"[]"  # no scipy module loaded
+        runs[mode] = proc.stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(runs["blocked"][1]) >= len(_SMALL_RUNS)
+    assert runs["blocked"] == runs["plain"]

@@ -1,10 +1,11 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import special, stats
+from scipy import stats
 
 from weakfactor import entrywise, linalg
 from weakfactor.entrywise import (
@@ -324,10 +325,12 @@ def _naive_pretest_reference(x, alpha=0.05, k_max=2):
 
 @pytest.mark.parametrize("alpha", [1e-6, 0.001, 0.01, 0.05, 0.1, 0.2, 0.5, 0.9])
 def test_normal_quantile_equals_scipy_stats(alpha):
-    # naive_pretest_ci takes z from special.ndtri, the function that
-    # stats.norm.ppf evaluates, so that importing the package does not
-    # import scipy.stats.
-    assert special.ndtri(1.0 - alpha / 2.0) == stats.norm.ppf(1.0 - alpha / 2.0)
+    # naive_pretest_ci takes z from the standard library's NormalDist
+    # (Wichura's AS241), not from scipy, so it equals stats.norm.ppf to a
+    # few ulp rather than exactly; 3 ulp is the largest gap at these alphas.
+    z = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    ref = stats.norm.ppf(1.0 - alpha / 2.0)
+    assert abs(z - ref) <= 4 * np.spacing(ref)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

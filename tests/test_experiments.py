@@ -365,7 +365,7 @@ def test_csv_bytes_identical_at_one_and_two_workers(builder, n, t, reps, seed):
 
 
 @pytest.mark.skipif(not linalg._openblas_threads(),
-                    reason="neither numpy nor scipy has a bundled OpenBLAS")
+                    reason="numpy has no bundled OpenBLAS")
 @given(builder=st.sampled_from(sorted(CSV_BUILDERS)), n=st.integers(24, 40),
        t=st.integers(24, 40), reps=st.integers(1, 3), seed=st.integers(0, 2**63 - 1))
 @settings(max_examples=10, deadline=None)

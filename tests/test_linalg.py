@@ -1,11 +1,13 @@
 import ctypes
+import functools
 import sys
 import threading
+import types
 import unittest.mock
 
 import numpy as np
 import pytest
-import scipy.linalg.cython_lapack
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -104,6 +106,8 @@ def test_svd_truncated_orthonormal_and_deterministic_sign():
     # Sign flips of the input columns cannot change the reconstruction.
     u2, s2, v2 = svd_truncated(a, 4)
     assert np.array_equal(u, u2) and np.array_equal(v, v2)
+    # A numpy integer k is the same k.
+    assert all(np.array_equal(x, y) for x, y in zip(svd_truncated(a, np.int64(4)), (u, s, v)))
 
 
 def test_svd_truncated_rejects_bad_k():
@@ -414,7 +418,7 @@ def test_subset_eigh_equals_scipy_eigh_drawn(m, extra, seed, data):
 
 
 def test_subset_eigh_releases_the_gil():
-    assert not type(linalg._dsyevr())._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+    assert not type(linalg._lapack()["dsyevr"])._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
 
 @pytest.mark.parametrize("shape, lo, hi", [((5, 5), 3, 2), ((5, 5), -1, 2), ((5, 5), 3, 5),
@@ -425,11 +429,36 @@ def test_subset_eigh_rejects_bad_arguments(shape, lo, hi):
 
 
 def test_dsyevr_signature_checked(monkeypatch):
-    # A capsule with another signature (dsyev's) must be refused, not called.
-    capi = scipy.linalg.cython_lapack.__pyx_capi__
-    monkeypatch.setitem(capi, "dsyevr", capi["dsyev"])
-    with pytest.raises(RuntimeError, match="signature"):
-        linalg._dsyevr.__wrapped__()
+    # Every integer argument is passed at 64 bits, so an OpenBLAS whose
+    # configuration does not report 64-bit integers must be refused, not
+    # called, even though it exports every routine; the numpy routes run.
+    if linalg._lapack() is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    real = linalg._openblas()
+    lib = types.SimpleNamespace(**{f"scipy_{name}_64_": getattr(real, f"scipy_{name}_64_")
+                                   for name in linalg._ROUTINES})
+    lib.scipy_openblas_get_config64_ = lambda: b"OpenBLAS 0.3.31 DYNAMIC_ARCH MAX_THREADS=64"
+    monkeypatch.setattr(linalg, "_openblas", lambda: lib)
+    monkeypatch.setattr(linalg, "_lapack", functools.cache(linalg._lapack.__wrapped__))
+    assert linalg._lapack() is None
+    a = _spectral_case((300, 300), 100.0, 1.0, np.random.default_rng(8))
+    assert spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(200, 200), (300, 250), (90, 400), (1000, 1000)])
+def test_numpy_routes_match_lapack_routes(shape, monkeypatch):
+    # Without numpy's bundled OpenBLAS each of the three ctypes routines'
+    # sites takes a numpy route: eigh for dsyevr, the Gram route for the
+    # Krylov steps' dstemr, and numpy's b - q c for dgemm.
+    rng = np.random.default_rng(shape[0] + shape[1])
+    a = _spectral_case(shape, 4.0 * np.sqrt(max(shape)), 1.0, rng)
+    low = _low_rank(shape, 2, shape[0])
+    routes = []
+    for lapack in (linalg._lapack, lambda: None):
+        monkeypatch.setattr(linalg, "_lapack", lapack)
+        routes.append((*svd_truncated(a, 3), spectral_norm(a), singular_values(low)))
+    for got, want in zip(*routes):  # U, s, V, sigma_1, the low-rank spectrum
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_kernels_concurrent_calls_match_sequential():
