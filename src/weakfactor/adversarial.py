@@ -224,10 +224,7 @@ def panel_shift_pair(m1, d1, c: float) -> TwoPointPair:
         raise ValueError("M1 and D1 must be orthogonal (M'D = 0 and MD' = 0)")
 
     delta = c / math.sqrt(n * t)
-    alt = PanelInstance(
-        mean=m1 - delta * d1, regressor_mean=d1, sigma_eps=1.0, sigma_u=1.0,
-        beta=delta, r0=2, r1=1,
-    )
+    alt = null._shifted(m1 - delta * d1, beta=delta)
     # The nT pairs (Y_it, X_it) are independent and share their mean under
     # both laws, so the KL is nT times that of one pair: covariance I against
     # the 2x2 tilt, with no mean term.

@@ -260,7 +260,7 @@ def _dsyevr_workspace(m: int, jobz: bytes) -> tuple[int, int]:
     return int(work[0]), int(iwork[0])
 
 
-def _subset_eigh(gram: np.ndarray, lo: int, hi: int, vectors: bool):
+def _subset_eigh(gram: np.ndarray, lo: int, hi: int, vectors: bool, *, overwrite: bool = False):
     """Eigenvalues lo..hi (0-based, ascending) of the symmetric `gram`.
 
     Returns (w, z): the eigenvalues and, if `vectors`, their eigenvectors as
@@ -268,6 +268,9 @@ def _subset_eigh(gram: np.ndarray, lo: int, hi: int, vectors: bool):
     subset_by_index=[lo, hi], check_finite=False), but the solve runs
     without the GIL.  Reads the lower triangle of a Fortran-order copy; like
     check_finite=False, it assumes finite entries (its callers check them).
+    With `overwrite`, for a C-contiguous float `gram` the caller discards and
+    that is exactly symmetric (numpy's `b @ b.T` is), it decomposes gram's
+    own buffer instead, read as the Fortran matrix gram.T, and destroys it.
     Without dsyevr (_lapack() is None) it slices numpy's full eigh.
     """
     m = gram.shape[0]
@@ -280,7 +283,7 @@ def _subset_eigh(gram: np.ndarray, lo: int, hi: int, vectors: bool):
     count = hi - lo + 1
     jobz = b"V" if vectors else b"N"
     lwork, liwork = _dsyevr_workspace(m, jobz)
-    a = np.array(gram, dtype=float, order="F")
+    a = gram.T if overwrite and gram.flags.c_contiguous else np.array(gram, dtype=float, order="F")
     w = np.empty(m)
     z = np.empty((m, count) if vectors else (1, 1), order="F")
     work, iwork = np.empty(lwork), np.empty(liwork, dtype=np.int64)
@@ -314,7 +317,7 @@ def svd_truncated(a, k: int) -> SvdResult:
     m = a.shape[0]
     with single_blas_thread():
         b = _scaled(a, top)[0]
-        q = _subset_eigh(b @ b.T, m - k, m - 1, vectors=True)[1]
+        q = _subset_eigh(b @ b.T, m - k, m - 1, vectors=True, overwrite=True)[1]
         ub, s, vt = np.linalg.svd(q.T @ a, full_matrices=False)
     u, v = q @ ub, vt.T
     if tall:
@@ -478,7 +481,8 @@ def spectral_norm(a) -> float:
         b, e = _scaled(a, top)
         top = _krylov_norm(b) if m >= _KRYLOV_MIN else None
         if top is None:
-            top = np.sqrt(_subset_eigh(b @ b.T, m - 1, m - 1, vectors=False)[0][0])
+            top = np.sqrt(_subset_eigh(b @ b.T, m - 1, m - 1, vectors=False,
+                                           overwrite=True)[0][0])
     return float(np.ldexp(top, e))
 
 

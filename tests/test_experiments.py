@@ -222,16 +222,28 @@ def test_oracle_checks_independent_of_block_size(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(seen_whole, seen_blocked))
 
 
-def test_oracle_checks_memory_peak():
-    # The draws are held one block at a time: all of them at once took about
-    # 147 MB here.
+def _oracle_checks_peak(reps):
     tracemalloc.start()
     try:
-        ex.oracle_checks(reps=50_000)
-        peak = tracemalloc.get_traced_memory()[1]
+        ex.oracle_checks(reps=reps)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 48e6
+
+
+def test_oracle_checks_memory_peak():
+    # The draws go through one reused set of block buffers, about 2.5 MB
+    # here at n = T = 8.  All draws at once took about 147 MB, and fresh
+    # 8192-replication blocks about 27 MB.
+    assert _oracle_checks_peak(50_000) <= 8e6
+
+
+def test_oracle_checks_memory_grows_by_per_replication_values_only():
+    # 150 000 more replications may add a few float arrays of one value per
+    # replication (about 2 measured), but no buffer that scales with the
+    # block count: one block-sized array per replication would add 150 MB.
+    per_array = 8 * (200_000 - 50_000)
+    assert _oracle_checks_peak(200_000) - _oracle_checks_peak(50_000) <= 3 * per_array
 
 
 @pytest.mark.parametrize("reps", [0, -1])
@@ -390,11 +402,12 @@ def test_csv_bytes_identical_whatever_blas_threads_the_caller_set(builder, n, t,
 # ground truth has rank at most 2, so each spectrum is one values-only SVD of
 # the (4, T) rank-4 sketch, and none is a full SVD.  One build of a testing
 # pair takes 2 spectra (its two means), of a hidden-entry grid point 2 (the
-# base and the alternative), of a panel pair 4 (M and D of each arm).
+# base and the alternative), of a panel pair 3 (M of each arm and the D they
+# share).
 @pytest.mark.parametrize("generator, params, spectra", [
     ("testing_pair_arm", {"tau": 2.0, "kappa": 1.0, "alpha": 0.05}, 2),
     ("perturbation_pair_arm", {"kappa": 1.0, "eta": 0.25, "tau2": 1.0}, 2),
-    ("panel_pair_arm", {"kappa2": 10.0, "c": 3.9}, 4),
+    ("panel_pair_arm", {"kappa2": 10.0, "c": 3.9}, 3),
 ], ids=["testing_pair", "hidden_entry", "panel_pair"])
 def test_spectra_per_pair_build(generator, params, spectra, svd_values_calls):
     get_generator(generator)({"n": 24, "T": 24, "arm": "alt"}, params)
@@ -404,7 +417,7 @@ def test_spectra_per_pair_build(generator, params, spectra, svd_values_calls):
 # Each grid point builds its pair once; lr_power_check builds one more
 # testing pair after its two grid points.
 @pytest.mark.parametrize("run, spectra", [
-    (lambda: run_experiment(ex.panel_tradeoff_spec(n=24, t=24, reps=1)), 2 * 4),
+    (lambda: run_experiment(ex.panel_tradeoff_spec(n=24, t=24, reps=1)), 2 * 3),
     (lambda: run_experiment(ex.pretest_control_spec(n=24, t=24, reps=1)), 2 * 2),
     (lambda: ex.lr_power_check(n=24, t=24, reps=2), 3 * 2),
 ], ids=["panel_tradeoff", "pretest_control", "lr_power_check"])
