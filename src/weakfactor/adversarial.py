@@ -194,7 +194,10 @@ def panel_shift_pair(m1, d1, c: float) -> TwoPointPair:
 
     M1 must be rank one and orthogonal to the rank-one D1 in both row and
     column spaces (the strong-factor configuration), and min(n, T) must
-    exceed the alternative's declared rank r0 = 2, as the estimators require.
+    exceed r0 + r1 = 3 for the ranks the pair declares, the bound
+    estimate_beta enforces.  At n = T = 3 the rank-2 least-squares fit plus
+    the slope has 2 (3 + 3 - 2) + 1 = 9 parameters for 9 entries, so the
+    least-squares slope is not identified.
     """
     if not 0.0 < c < 4.0:
         raise ValueError("c must be in (0, 4)")
@@ -203,8 +206,8 @@ def panel_shift_pair(m1, d1, c: float) -> TwoPointPair:
     if m1.shape != d1.shape:
         raise ValueError("M1 and D1 must have the same shape")
     n, t = m1.shape
-    if min(n, t) <= 2:
-        raise ValueError(f"r0 = 2 must lie below min(n, T) = {min(n, t)}")
+    if min(n, t) <= 3:
+        raise ValueError(f"r0 + r1 = 3 must lie below min(n, T) = {min(n, t)}")
     null = PanelInstance(
         mean=m1, regressor_mean=d1, sigma_eps=1.0, sigma_u=1.0, beta=0.0, r0=2, r1=1,
     )

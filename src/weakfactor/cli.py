@@ -36,7 +36,7 @@ import sys
 import warnings
 from typing import Callable, NamedTuple
 
-from . import __version__, experiments
+from . import __version__, experiments, panel
 from .entrywise import DefaultC0Warning, calibrate_c0
 from .montecarlo import (
     ExperimentError,
@@ -399,8 +399,8 @@ def _cmd_panel_rate(cfg: dict) -> int:
 
 def _cmd_panel_tradeoff(cfg: dict) -> int:
     table = _run(cfg)
-    width = 3.92 / math.sqrt(cfg["n"] * cfg["T"]) / math.sqrt(1 + cfg["kappa2"] ** 2)
-    bound = 0.5 + 1.96 / math.sqrt(1 + cfg["kappa2"] ** 2)
+    width = 2.0 * panel.ci_star_half_width(cfg["n"], cfg["T"], cfg["kappa2"])
+    bound = 0.5 + panel.Z_975 / math.sqrt(1 + cfg["kappa2"] ** 2)
     print(f"{table.spec.name}: R = {table.spec.replications}, exact width = {width:.6g}")
     _print_summaries(table)
     print(f"alternative coverage bound 1/2 + 1.96 (1+kappa2^2)^(-1/2) = {bound:.4f}")

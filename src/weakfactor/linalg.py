@@ -41,10 +41,10 @@ entry (outside entry (1,1) for :func:`zero_entry_11`) with ``ValueError``
 before any decomposition.
 
 Every BLAS and LAPACK call here (through numpy, or through ctypes for
-``dsyevr``, ``dstemr`` and ``dgemm``) runs in the thread pool of numpy's
-bundled OpenBLAS.  :func:`single_blas_thread` caps it at one thread;
-replications run under it in parallel, and the kernels cap themselves.
-Without a bundled OpenBLAS each ctypes routine's site takes a numpy route.
+``dsyevr`` and ``dstemr``) runs in the one thread pool of numpy's bundled
+OpenBLAS.  :func:`single_blas_thread` caps it at one thread; replications
+run under it in parallel, and the kernels cap themselves.  Without a bundled
+OpenBLAS each ctypes routine's site takes a numpy route.
 """
 
 from __future__ import annotations
@@ -86,25 +86,17 @@ class SvdResult(NamedTuple):
     V: np.ndarray
 
 
-def _as_matrix(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
-    return a
+def _as_matrix(a) -> tuple[np.ndarray, float]:
+    """(a, max|a|) for `a` as a 2-D float array, checked through max|a|.
 
-
-def _as_matrix_top(a) -> tuple[np.ndarray, float]:
-    """(a, max|a|) with the checks of _as_matrix, from one scan of max|a|.
-
-    A NaN or an infinity makes the maximum non-finite; an empty matrix has
-    max 0.  The maximum is also the scale that _scaled takes.
+    max|a| = |max(max a, -min a)| needs no temporary the size of `a`, and the
+    abs clears an all-zero matrix's -0.0.  A NaN or an infinity makes it
+    non-finite; an empty matrix has max 0.  It is also the scale _scaled takes.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {a.shape}")
-    top = np.max(np.abs(a)) if a.size else 0.0
+    top = abs(np.maximum(a.max(), -a.min())) if a.size else 0.0
     if not np.isfinite(top):
         raise ValueError("matrix contains non-finite entries")
     return a, top
@@ -138,14 +130,14 @@ def _openblas():
 
 @functools.cache
 def _openblas_threads():
-    """((get, set),) of the thread count of numpy's bundled OpenBLAS, or ()."""
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
     get = getattr(_openblas(), "scipy_openblas_get_num_threads64_", None)
     set_ = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
     if get is None or set_ is None:
-        return ()
+        return None
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
-    return ((get, set_),)
+    return get, set_
 
 
 @contextlib.contextmanager
@@ -159,15 +151,17 @@ def single_blas_thread():
     enter it concurrently without an enclosing use may restore each other's
     counts out of order; start them inside one use, as run_experiment does.
     """
-    pools = _openblas_threads()
-    previous = [get() for get, _ in pools]
-    for _, set_ in pools:
-        set_(1)
+    pool = _openblas_threads()
+    if pool is None:
+        yield
+        return
+    get, set_ = pool
+    previous = get()
+    set_(1)
     try:
         yield
     finally:
-        for (_, set_), count in zip(pools, previous):
-            set_(count)
+        set_(previous)
 
 
 def _scaled(a: np.ndarray, top: float) -> tuple[np.ndarray, int]:
@@ -188,7 +182,6 @@ def _scaled(a: np.ndarray, top: float) -> tuple[np.ndarray, int]:
 _ROUTINES = {
     "dsyevr": "cccididdiididdiidiiii",
     "dstemr": "cciddddiiiddiiiidiiii",
-    "dgemm": "cciiiddididdi",
 }
 
 
@@ -238,13 +231,13 @@ def _bind(name: str, *args) -> Callable[[], None]:
     return functools.partial(_lapack()[name], *refs, *[1] * _ROUTINES[name].count("c"))
 
 
-def _call_dsyevr(jobz, m, a, lo, hi, w, z, ldz, work, lwork, iwork, liwork):
-    # range "I" (il = lo + 1, iu = hi + 1), uplo "L" and abstol 0, as
-    # scipy.linalg.eigh(subset_by_index=[lo, hi]) passes them.  Returns
-    # (number of eigenvalues found, info).
+def _call_dsyevr(jobz, m, a, k, w, z, ldz, work, lwork, iwork, liwork):
+    # The top k eigenvalues: range "I" (il = m - k + 1, iu = m), uplo "L" and
+    # abstol 0, as scipy.linalg.eigh(subset_by_index=[m - k, m - 1]) passes
+    # them.  Returns (number of eigenvalues found, info).
     found, info = ctypes.c_int64(), ctypes.c_int64()
-    isuppz = np.empty(2 * (hi - lo + 1), dtype=np.int64)
-    _bind("dsyevr", jobz, b"I", b"L", m, a, m, 0.0, 0.0, int(lo) + 1, int(hi) + 1, 0.0, found,
+    isuppz = np.empty(2 * k, dtype=np.int64)
+    _bind("dsyevr", jobz, b"I", b"L", m, a, m, 0.0, 0.0, m - int(k) + 1, m, 0.0, found,
           w, z, ldz, isuppz, work, lwork, iwork, liwork, info)()
     return found.value, info.value
 
@@ -254,44 +247,41 @@ def _dsyevr_workspace(m: int, jobz: bytes) -> tuple[int, int]:
     """Optimal (lwork, liwork) of dsyevr at order m, from a workspace query."""
     work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
     a, w, z = np.empty((m, m), order="F"), np.empty(m), np.empty((m, 1), order="F")
-    _, info = _call_dsyevr(jobz, m, a, 0, 0, w, z, m, work, -1, iwork, -1)
+    _, info = _call_dsyevr(jobz, m, a, 1, w, z, m, work, -1, iwork, -1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dsyevr workspace query failed: info={info}")
     return int(work[0]), int(iwork[0])
 
 
-def _subset_eigh(gram: np.ndarray, lo: int, hi: int, vectors: bool, *, overwrite: bool = False):
-    """Eigenvalues lo..hi (0-based, ascending) of the symmetric `gram`.
+def _subset_eigh(b: np.ndarray, k: int, vectors: bool):
+    """Top k eigenpairs of the Gram matrix b b' of the m x t float `b`.
 
-    Returns (w, z): the eigenvalues and, if `vectors`, their eigenvectors as
-    columns (else None).  Bitwise equal to scipy.linalg.eigh(gram,
-    subset_by_index=[lo, hi], check_finite=False), but the solve runs
-    without the GIL.  Reads the lower triangle of a Fortran-order copy; like
+    Returns (w, z): the k largest eigenvalues, ascending, and, if `vectors`,
+    their eigenvectors as columns (else None).  Bitwise equal to
+    scipy.linalg.eigh(b @ b.T, subset_by_index=[m - k, m - 1],
+    check_finite=False), but the solve runs without the GIL.  The Gram
+    matrix is formed here, under the caller's BLAS cap: numpy's b @ b.T is a
+    fresh C-order buffer and exactly symmetric, so dsyevr decomposes it in
+    place, reading the lower triangle of the Fortran matrix gram.T.  Like
     check_finite=False, it assumes finite entries (its callers check them).
-    With `overwrite`, for a C-contiguous float `gram` the caller discards and
-    that is exactly symmetric (numpy's `b @ b.T` is), it decomposes gram's
-    own buffer instead, read as the Fortran matrix gram.T, and destroys it.
     Without dsyevr (_lapack() is None) it slices numpy's full eigh.
     """
-    m = gram.shape[0]
-    if gram.shape != (m, m) or not 0 <= lo <= hi < m:
-        raise ValueError(f"need a square matrix and 0 <= lo <= hi < m, got shape "
-                         f"{gram.shape}, lo={lo}, hi={hi}")
+    if b.ndim != 2 or not 1 <= k <= b.shape[0]:
+        raise ValueError(f"need a 2-D matrix and 1 <= k <= m, got shape {b.shape}, k={k}")
+    m = b.shape[0]
+    gram = b @ b.T
     if _lapack() is None:
         w, z = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
-        return w[lo:hi + 1], (z[:, lo:hi + 1] if vectors else None)
-    count = hi - lo + 1
+        return w[m - k:], (z[:, m - k:] if vectors else None)
     jobz = b"V" if vectors else b"N"
     lwork, liwork = _dsyevr_workspace(m, jobz)
-    a = gram.T if overwrite and gram.flags.c_contiguous else np.array(gram, dtype=float, order="F")
     w = np.empty(m)
-    z = np.empty((m, count) if vectors else (1, 1), order="F")
+    z = np.empty((m, k) if vectors else (1, 1), order="F")
     work, iwork = np.empty(lwork), np.empty(liwork, dtype=np.int64)
-    found, info = _call_dsyevr(jobz, m, a, lo, hi, w, z, z.shape[0], work, lwork, iwork, liwork)
-    if info != 0 or found != count:
-        raise np.linalg.LinAlgError(
-            f"dsyevr failed: info={info}, found {found} of {count} eigenvalues")
-    return w[:count], (z if vectors else None)
+    found, info = _call_dsyevr(jobz, m, gram.T, k, w, z, z.shape[0], work, lwork, iwork, liwork)
+    if info != 0 or found != k:
+        raise np.linalg.LinAlgError(f"dsyevr failed: info={info}, found {found} of {k} eigenvalues")
+    return w[:k], (z if vectors else None)
 
 
 def svd_truncated(a, k: int) -> SvdResult:
@@ -307,17 +297,16 @@ def svd_truncated(a, k: int) -> SvdResult:
     Returns orthonormal U, V and nonincreasing singular values.  k may equal
     min(n, T), in which case the full decomposition is returned.
     """
-    a, top = _as_matrix_top(a)
+    a, top = _as_matrix(a)
     kmax = min(a.shape)
     if not 1 <= k <= kmax:
         raise ValueError(f"k={k} out of range [1, {kmax}]")
     tall = a.shape[0] > a.shape[1]
     if tall:
         a = a.T
-    m = a.shape[0]
     with single_blas_thread():
         b = _scaled(a, top)[0]
-        q = _subset_eigh(b @ b.T, m - k, m - 1, vectors=True, overwrite=True)[1]
+        q = _subset_eigh(b, k, vectors=True)[1]
         ub, s, vt = np.linalg.svd(q.T @ a, full_matrices=False)
     u, v = q @ ub, vt.T
     if tall:
@@ -471,24 +460,22 @@ def spectral_norm(a) -> float:
     faster.  Both routes run on one BLAS thread on the power-of-two-scaled
     b of _scaled, so the result is a fixed function of the entries.
     """
-    a, top = _as_matrix_top(a)
+    a, top = _as_matrix(a)
     if top == 0.0:
         return 0.0
     if a.shape[0] > a.shape[1]:
         a = a.T
-    m = a.shape[0]
     with single_blas_thread():
         b, e = _scaled(a, top)
-        top = _krylov_norm(b) if m >= _KRYLOV_MIN else None
+        top = _krylov_norm(b) if b.shape[0] >= _KRYLOV_MIN else None
         if top is None:
-            top = np.sqrt(_subset_eigh(b @ b.T, m - 1, m - 1, vectors=False,
-                                           overwrite=True)[0][0])
+            top = np.sqrt(_subset_eigh(b, 1, vectors=False)[0][0])
     return float(np.ldexp(top, e))
 
 
 def max_abs_entry(a) -> float:
     """Entrywise sup norm."""
-    return float(_as_matrix_top(a)[1])
+    return float(_as_matrix(a)[1])
 
 
 def zero_entry_11(a) -> np.ndarray:
@@ -500,13 +487,12 @@ def zero_entry_11(a) -> np.ndarray:
     out = np.array(a, dtype=float, order="C")
     if out.ndim == 2:
         out[0, 0] = 0.0
-    return _as_matrix(out)
+    return _as_matrix(out)[0]
 
 
 def trace_product(a, b) -> float:
     """trace(A'B), i.e. the entrywise inner product of A and B."""
-    a = _as_matrix(a)
-    b = _as_matrix(b)
+    a, b = _as_matrix(a)[0], _as_matrix(b)[0]
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.sum(a * b))
@@ -527,32 +513,26 @@ def singular_values(a) -> np.ndarray:
     validated the input: with Omega the fixed-seed T x 4 block of
     _krylov_start, Q = qr(b Omega) and B = Q'b, the residual
     rho = |b - QB|_F is formed explicitly (the shortcut |b|_F^2 - |B|_F^2
-    cancels to about RANK_RTOL).  Weyl's
-    inequality and Eckart-Young give sigma_i(B) <= sigma_i(b) <=
-    sigma_i(B) + rho for i <= 4, and sigma_i(b) <= rho for i > 4.  When
-    rho <= _SKETCH_RTOL sigma_1(B), the result is sigma_1..4(B) followed by
-    zeros: every value, a tail zero included, lies at most rho below the
-    true one, so a zero in the tail means "at most rho", not exactly zero.
-    A matrix of rank 4 or less is certified with rho at rounding level, a
-    zero matrix with rho = 0.
+    cancels to about RANK_RTOL).  Weyl's inequality and Eckart-Young give
+    sigma_i(B) <= sigma_i(b) <= sigma_i(B) + rho for i <= 4, and
+    sigma_i(b) <= rho for i > 4.  When rho <= _SKETCH_RTOL sigma_1(B), the
+    result is sigma_1..4(B) followed by zeros: every value, a tail zero
+    included, lies at most rho below the true one, so a zero in the tail
+    means "at most rho", not exactly zero.  A matrix of rank 4 or less is
+    certified with rho at rounding level, a zero matrix with rho = 0.
 
     Otherwise (rank 5 or more, or a side of 4 or less) the result is
     np.linalg.svd(a, compute_uv=False).  Input that is not 2-D or has a
     non-finite entry raises ValueError, as in the other kernels.
     """
-    a, top = _as_matrix_top(a)
+    a, top = _as_matrix(a)
     if min(a.shape) > _SKETCH_WIDTH:
         with single_blas_thread():
             b, e = _scaled(a, top)
             q = np.linalg.qr(b @ _krylov_start(b.shape[1], _SKETCH_WIDTH).T)[0]
             c = q.T @ b
             s = np.linalg.svd(c, compute_uv=False)
-            if _lapack() is None:
-                b = b - q @ c
-            else:  # b - QB written over b, a copy: b' - c'q' by dgemm in column-major terms
-                b, q, c = (np.ascontiguousarray(x) for x in (b, q, c))
-                _bind("dgemm", b"N", b"N", b.shape[1], b.shape[0], _SKETCH_WIDTH, -1.0, c,
-                      b.shape[1], q, _SKETCH_WIDTH, 1.0, b, b.shape[1])()
+            b -= q @ c  # b - QB written over b, _scaled's own copy
             rho = np.linalg.norm(b)
         if rho <= _SKETCH_RTOL * s[0]:
             out = np.zeros(min(a.shape))

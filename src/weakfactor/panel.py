@@ -27,7 +27,13 @@ __all__ = [
     "ls_estimator",
     "sigma_theta",
     "ci_star",
+    "ci_star_half_width",
+    "Z_975",
 ]
+
+# The 97.5% standard normal quantile, to the two decimals that ci_star's
+# closed-form width uses.
+Z_975 = 1.96
 
 
 class DegenerateDesignError(ValueError):
@@ -110,7 +116,7 @@ def ls_estimator(
     y,
     rank: int,
     tol: float = 1e-10,
-    max_iter: int = 500,
+    max_iter: int = 5000,
 ) -> tuple[float, np.ndarray, bool]:
     """Least-squares fit of Y = A + X beta with rank(A) <= `rank`.
 
@@ -179,11 +185,16 @@ def sigma_theta(inst: PanelInstance) -> float:
     return inst.sigma_eps / math.sqrt(inst.sigma_u**2 + extra)
 
 
+def ci_star_half_width(n: int, t: int, kappa2: float) -> float:
+    """Half-width Z_975 (nT)^{-1/2} (1 + kappa2^2)^{-1/2} of ci_star."""
+    return Z_975 / math.sqrt(n * t) / math.sqrt(1.0 + kappa2**2)
+
+
 def ci_star(x, y, kappa2: float) -> Interval:
     """Strong-factor 95% interval around the least-squares slope.
 
-    Half-width 1.96 (nT)^{-1/2} (1 + kappa2^2)^{-1/2}; valid only when the
-    fixed effects are strong, orthogonal to a strong regressor structure with
+    Half-width ci_star_half_width(n, T, kappa2); valid only when the fixed
+    effects are strong, orthogonal to a strong regressor structure with
     ||D||_F >= kappa2 sqrt(nT).  Raises RuntimeError if the least-squares
     fit has not converged.
     """
@@ -192,5 +203,5 @@ def ci_star(x, y, kappa2: float) -> Interval:
     beta_ls, _, converged = ls_estimator(x, y, rank=2)
     if not converged:
         raise RuntimeError("ls_estimator did not converge")
-    half = 1.96 / math.sqrt(n * t) / math.sqrt(1.0 + kappa2**2)
+    half = ci_star_half_width(n, t, kappa2)
     return Interval(beta_ls - half, beta_ls + half)

@@ -187,9 +187,11 @@ def test_panel_shift_pair_validation():
         panel_shift_pair(m1, d1, 5.0)
     with pytest.raises(ValueError):
         panel_shift_pair(m1, m1, 1.0)  # not orthogonal
-    # The alternative declares rank r0 = 2, which must lie below min(n, T).
-    with pytest.raises(ValueError, match="must lie below min"):
-        panel_shift_pair(*panel_means(2, 3, 1.0, 1.0), 1.0)
+    # The pair declares ranks r0 + r1 = 3, which must lie below min(n, T).
+    for n, t in ((2, 3), (3, 3), (3, 7)):
+        with pytest.raises(ValueError, match="must lie below min"):
+            panel_shift_pair(*panel_means(n, t, 1.0, 1.0), 1.0)
+    assert panel_shift_pair(*panel_means(4, 4, 1.0, 1.0), 1.0).info["kl"] > 0
 
 
 def test_panel_shift_pair_refuses_a_tilt_off_orthogonal():
@@ -226,8 +228,9 @@ def test_gaussian_kl_trivial_and_mean_shift():
 @pytest.mark.parametrize("c", [1e-3, 0.5, 1.0, 2.0, 3.9])
 def test_panel_shift_pair_kl_is_that_of_the_full_law(c):
     # The dense KL of the 2nT-dimensional law of (vec Y, vec X): shared mean,
-    # covariance I against the 2x2 tilt kron I_nT.
-    n = t = 3
+    # covariance I against the 2x2 tilt kron I_nT.  n = T = 4 is the smallest
+    # size the pair accepts.
+    n = t = 4
     m1, d1 = panel_means(n, t, math.sqrt(n * t), math.sqrt(n * t))
     pair = panel_shift_pair(m1, d1, c)
     delta = c / math.sqrt(n * t)

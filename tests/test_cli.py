@@ -197,9 +197,11 @@ def test_experiment_failure_exit_code(capsys, monkeypatch):
     (["entrywise-coverage", "--n", "20", "--T", "20", "--kappa", "0.5"], 2),
     # tau = 5 lies above the testing pair's limit kappa sqrt(nT) / 12.
     (["lower-bound-check", "--n", "20", "--T", "20", "--tau", "5"], 0),
-    # The panel pair's alternative declares rank r0 = 2, not below min(n, T).
+    # The panel pair declares ranks r0 + r1 = 3, not below min(n, T); at
+    # n = T = 3 the least-squares slope is not identified.
     (["panel-tradeoff", "--n", "2", "--T", "2"], 0),
-], ids=["entrywise-coverage", "lower-bound-check", "panel-tradeoff"])
+    (["panel-tradeoff", "--n", "3", "--T", "3"], 0),
+], ids=["entrywise-coverage", "lower-bound-check", "panel-tradeoff", "panel-tradeoff-n3"])
 def test_invalid_grid_point_exit_code(argv, grid_point, capsys, monkeypatch):
     _assert_invalid_grid_point(argv, grid_point, capsys, monkeypatch)
 
@@ -472,7 +474,7 @@ def test_each_ground_truth_decomposed_once_per_command(argv, svd_values_calls):
 
 
 # Every subcommand at small sizes, then noise_norm_check at n = T = 200 (Krylov
-# steps, so dstemr) and one ground truth (its spectrum's sketch, so dgemm).
+# steps, so dstemr) and one ground truth (its spectrum's sketch).
 # With "blocked" as its first argument the run fails any import of scipy.
 _SCIPY_FREE_RUN = """
 import json, os, sys

@@ -376,24 +376,22 @@ def test_csv_bytes_identical_at_one_and_two_workers(builder, n, t, reps, seed):
     assert _csv_bytes(spec, workers=1) == _csv_bytes(spec, workers=2)
 
 
-@pytest.mark.skipif(not linalg._openblas_threads(),
+@pytest.mark.skipif(linalg._openblas_threads() is None,
                     reason="numpy has no bundled OpenBLAS")
 @given(builder=st.sampled_from(sorted(CSV_BUILDERS)), n=st.integers(24, 40),
        t=st.integers(24, 40), reps=st.integers(1, 3), seed=st.integers(0, 2**63 - 1))
 @settings(max_examples=10, deadline=None)
 def test_csv_bytes_identical_whatever_blas_threads_the_caller_set(builder, n, t, reps, seed):
     spec = CSV_BUILDERS[builder](n=n, t=t, reps=reps, seed=seed)
-    pools = linalg._openblas_threads()
-    previous = [get() for get, _ in pools]
+    get, set_ = linalg._openblas_threads()
+    previous = get()
     files = []
     try:
         for threads in (1, 2):
-            for _, set_ in pools:
-                set_(threads)
+            set_(threads)
             files.append(_csv_bytes(spec))
     finally:
-        for (_, set_), count in zip(pools, previous):
-            set_(count)
+        set_(previous)
     assert files[0] == files[1]
 
 

@@ -22,7 +22,7 @@ from weakfactor.montecarlo import (
 
 BUILT = []  # grid points the "_test_trivial" generator was called with
 PROCEDURE_CALLS = []  # data the "_test_recorded" procedure was called with
-BLAS_THREADS_SEEN = []  # OpenBLAS thread counts, one per pool, the "_test_blas_threads" procedure saw
+BLAS_THREADS_SEEN = []  # OpenBLAS thread counts the "_test_blas_threads" procedure saw
 
 
 @register_generator("_test_trivial")
@@ -167,33 +167,34 @@ def test_unbuildable_grid_point_raises_before_any_replication():
 
 
 def _pool_threads():
-    return [get() for get, _ in linalg._openblas_threads()]
+    return linalg._openblas_threads()[0]()
 
 
 @pytest.fixture
 def two_blas_threads():
-    """Set every bundled OpenBLAS to 2 threads; restore each count afterwards.
+    """Set the bundled OpenBLAS to 2 threads; restore its count afterwards.
 
-    Yields a function that reads the thread count of every pool.
+    Yields a function that reads the pool's thread count.
     """
-    pools = linalg._openblas_threads()
-    if not pools:
+    pool = linalg._openblas_threads()
+    if pool is None:
         pytest.skip("numpy has no bundled OpenBLAS")
-    previous = _pool_threads()
-    for _, set_ in pools:
-        set_(2)
+    get, set_ = pool
+    previous = get()
+    set_(2)
     try:
-        yield _pool_threads
+        yield get
     finally:
-        for (_, set_), count in zip(pools, previous):
-            set_(count)
+        set_(previous)
 
 
 def test_every_bundled_openblas_found():
     # numpy's is the only pool: every BLAS and LAPACK call runs in it.
     bundled = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                                      "*openblas*"))
-    assert [len(pool) for pool in linalg._openblas_threads()] == [2] * bool(bundled)
+    pool = linalg._openblas_threads()
+    assert (pool is not None) == bool(bundled)
+    assert pool is None or len(pool) == 2
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -201,15 +202,14 @@ def test_replications_run_on_one_blas_thread(workers, two_blas_threads):
     BLAS_THREADS_SEEN.clear()
     run_experiment(_spec(procedure="_test_blas_threads", replications=6,
                          grid=({"n": 3, "T": 3}, {"n": 4, "T": 3})), workers=workers)
-    pools = len(two_blas_threads())
-    assert BLAS_THREADS_SEEN == [[1] * pools] * 12
-    assert two_blas_threads() == [2] * pools
+    assert BLAS_THREADS_SEEN == [1] * 12
+    assert two_blas_threads() == 2
 
 
 def test_blas_threads_restored_after_experiment_error(two_blas_threads):
     with pytest.raises(ExperimentError):
         run_experiment(_spec(grid=({"n": 3, "T": 3, "unbuildable": True},)), workers=2)
-    assert two_blas_threads() == [2] * len(two_blas_threads())
+    assert two_blas_threads() == 2
 
 
 def test_top_k_kernels_cap_blas_threads(two_blas_threads, monkeypatch):
@@ -234,10 +234,8 @@ def test_top_k_kernels_cap_blas_threads(two_blas_threads, monkeypatch):
     # Large enough for the Krylov route, and with a signal it certifies.
     big = 100.0 * np.outer(rng.standard_normal(200), rng.standard_normal(210)) / 200.0
     linalg.spectral_norm(big + rng.standard_normal((200, 210)))
-    pools = len(two_blas_threads())
-    one = [1] * pools
-    assert seen == [("_subset_eigh", one)] * 3 + [("_krylov_norm", one)]
-    assert two_blas_threads() == [2] * pools
+    assert seen == [("_subset_eigh", 1)] * 3 + [("_krylov_norm", 1)]
+    assert two_blas_threads() == 2
 
 
 # Each check is recorded where it draws: the engine draws the replications of
@@ -263,9 +261,8 @@ def test_standalone_checks_run_on_one_blas_thread(module, attr, call, two_blas_t
 
     monkeypatch.setattr(module, attr, recording)
     call()
-    pools = len(two_blas_threads())
-    assert seen and seen == [[1] * pools] * len(seen)
-    assert two_blas_threads() == [2] * pools
+    assert seen and seen == [1] * len(seen)
+    assert two_blas_threads() == 2
 
 
 @pytest.mark.parametrize("requested, cpus, reps, expected", [

@@ -6,8 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weakfactor import panel
+from weakfactor.adversarial import panel_shift_pair
 from weakfactor.experiments import panel_means
-from weakfactor.model import PanelInstance, replication_rng, sample_panel
+from weakfactor.model import DEFAULT_SEED, PanelInstance, replication_rng, sample_panel
 from weakfactor.panel import (
     DegenerateDesignError,
     ci_star,
@@ -112,6 +113,17 @@ def test_ls_estimator_objective_monotone():
     assert all(b <= a + 1e-9 for a, b in zip(objectives, objectives[1:]))
 
 
+def test_ls_estimator_converges_past_500_iterations():
+    # A recorded draw from the null arm of panel-tradeoff at n = T = 5 (grid
+    # point 0, replication 18 of the default seed): its fit converges after
+    # about 975 iterations, past the former 500-iteration cap and within the
+    # default.
+    inst = panel_shift_pair(*panel_means(5, 5, 5.0, 50.0), 3.9).null_instance
+    x, y = sample_panel(inst, replication_rng(DEFAULT_SEED, 0, 18))
+    assert not ls_estimator(x, y, rank=2, max_iter=500)[2]
+    assert ls_estimator(x, y, rank=2)[2]
+
+
 def test_ls_estimator_sd_matches_sigma_theta():
     # Strong-factor configuration: scaled error sd within 25% of sigma(theta).
     n = t = 100
@@ -165,6 +177,14 @@ def test_ci_star_exact_widths():
     y = RNG.standard_normal((100, 100))
     width = ci_star(x, y, kappa2=10.0).width
     assert width == pytest.approx(3.92 / (100 * math.sqrt(101)), rel=1e-12)
+
+
+def test_ci_star_half_width_doubles_to_the_closed_form_width():
+    # The panel-tradeoff report prints 2 * ci_star_half_width as its exact width.
+    for n, t in ((2, 2), (5, 5), (100, 37), (499, 499)):
+        for kappa2 in (0.0, 0.5, 1.0, 10.0):
+            width = 3.92 / math.sqrt(n * t) / math.sqrt(1 + kappa2**2)
+            assert 2.0 * panel.ci_star_half_width(n, t, kappa2) == width
 
 
 def test_ci_star_rejects_unconverged_fit(monkeypatch):
