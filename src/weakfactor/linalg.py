@@ -9,11 +9,11 @@ The estimators need only their leading k <= 4 singular triplets, so
 the Gram matrix of the shorter side from LAPACK's subset eigensolver
 (``dsyevr``) instead of a full SVD, and :func:`svd_truncated` recovers the
 triplets with one small k x T SVD (a Rayleigh-Ritz step).  The solver is
-``dsyevr`` from the OpenBLAS that numpy bundles, called through ctypes with
-the arguments ``scipy.linalg.eigh`` passes it (so with results equal to
-scipy's bit for bit), and without the GIL: worker threads solve
-concurrently instead of queueing on the interpreter lock.  The rank checks
-keep the full SVD, because their 1e-8 relative cutoff lies below the
+``dsyevr`` from the OpenBLAS that numpy bundles, the one routine called
+through ctypes, with the arguments ``scipy.linalg.eigh`` passes it (so with
+results equal to scipy's bit for bit), and without the GIL: worker threads
+solve concurrently instead of queueing on the interpreter lock.  The rank
+checks keep the full SVD, because their 1e-8 relative cutoff lies below the
 sqrt(eps) that Gram eigenvalues resolve.
 
 :func:`spectral_norm` needs sigma_1 alone.  From a shorter side of 200 on
@@ -22,10 +22,12 @@ reorthogonalization from a fixed start vector: a few matrix-vector products
 instead of the O(n^3) Gram product and tridiagonalization.  It returns that
 value only under an explicit residual certificate, |b'u - sigma v| <= 1e-12
 sigma, and otherwise (no certificate within 30 steps, as on pure noise,
-where sigma_1 and sigma_2 nearly tie) falls back to the Gram route.  Below
-200 the Gram route is as fast as the Krylov steps' fixed costs, and
-:func:`svd_truncated` stays on it at every size: its callers need triplets
-inside or near the noise bulk, where Lanczos converges slowly.
+where sigma_1 and sigma_2 nearly tie) falls back to the Gram route.  Each
+step's Ritz solve is numpy's eigh of a small tridiagonal, so the route needs
+no ctypes routine and runs on every numpy.  Below 200 the Gram route is as
+fast as the Krylov steps' fixed costs, and :func:`svd_truncated` stays on it
+at every size: its callers need triplets inside or near the noise bulk,
+where Lanczos converges slowly.
 
 Ground-truth validation (instance construction and the two-point pairs)
 takes every singular-value spectrum it needs from
@@ -41,10 +43,10 @@ entry (outside entry (1,1) for :func:`zero_entry_11`) with ``ValueError``
 before any decomposition.
 
 Every BLAS and LAPACK call here (through numpy, or through ctypes for
-``dsyevr`` and ``dstemr``) runs in the one thread pool of numpy's bundled
-OpenBLAS.  :func:`single_blas_thread` caps it at one thread; replications
-run under it in parallel, and the kernels cap themselves.  Without a bundled
-OpenBLAS each ctypes routine's site takes a numpy route.
+``dsyevr``) runs in the one thread pool of numpy's bundled OpenBLAS.
+:func:`single_blas_thread` caps it at one thread; replications run under it
+in parallel, and the kernels cap themselves.  Without a bundled OpenBLAS the
+Gram route takes numpy's full eigh instead of ``dsyevr``.
 """
 
 from __future__ import annotations
@@ -54,8 +56,7 @@ import ctypes
 import functools
 import glob
 import os
-import threading
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,17 +178,9 @@ def _scaled(a: np.ndarray, top: float) -> tuple[np.ndarray, int]:
     return np.ldexp(a, -e), e
 
 
-# The Fortran arguments of each routine taken from numpy's OpenBLAS, each a
-# pointer: c to a character, i to a 64-bit integer, d to a double.
-_ROUTINES = {
-    "dsyevr": "cccididdiididdiidiiii",
-    "dstemr": "cciddddiiiddiiiidiiii",
-}
-
-
 @functools.cache
-def _lapack() -> dict | None:
-    """{name: routine} of _ROUTINES in numpy's bundled OpenBLAS, or None.
+def _lapack():
+    """dsyevr from numpy's bundled OpenBLAS as a ctypes routine, or None.
 
     Only a library reporting 64-bit integers, the width every integer is
     passed at, is used.  Pointers are c_void_p (all 64 bits of an address);
@@ -195,24 +188,20 @@ def _lapack() -> dict | None:
     character argument's length, a size_t, which a routine in C ignores.
     """
     config = getattr(_openblas(), "scipy_openblas_get_config64_", None)
-    if config is None:
+    routine = getattr(_openblas(), "scipy_dsyevr_64_", None)
+    if config is None or routine is None:
         return None
     config.argtypes, config.restype = [], ctypes.c_char_p
     if b"USE64BITINT" not in config().split():
         return None
-    routines = {}
-    for name, codes in _ROUTINES.items():
-        routine = getattr(_openblas(), f"scipy_{name}_64_", None)
-        if routine is None:
-            return None
-        routine.argtypes = ([ctypes.c_char_p if code == "c" else ctypes.c_void_p for code in codes]
-                            + [ctypes.c_size_t] * codes.count("c"))
-        routine.restype = None
-        routines[name] = routine
-    return routines
+    routine.argtypes = [ctypes.c_char_p] * 3 + [ctypes.c_void_p] * 18 + [ctypes.c_size_t] * 3
+    routine.restype = None
+    return routine
 
 
-# How _bind passes each type of Fortran argument.
+# How _call_dsyevr passes each type of Fortran argument: bytes as characters,
+# arrays by address, ints and floats by reference to an int64 or a double,
+# and a c_int64 (an output) by reference.
 _PASS = {
     bytes: lambda arg: arg,
     np.ndarray: lambda arg: arg.ctypes.data,
@@ -222,23 +211,16 @@ _PASS = {
 }
 
 
-def _bind(name: str, *args) -> Callable[[], None]:
-    """_lapack()[name] with its Fortran arguments bound: bytes as characters,
-    arrays by address, ints and floats by reference to an int64 or a double,
-    a c_int64 (an output) by reference, and each character's hidden length.
-    The arrays and outputs must outlive every call."""
-    refs = [_PASS[type(arg)](arg) for arg in args]
-    return functools.partial(_lapack()[name], *refs, *[1] * _ROUTINES[name].count("c"))
-
-
 def _call_dsyevr(jobz, m, a, k, w, z, ldz, work, lwork, iwork, liwork):
     # The top k eigenvalues: range "I" (il = m - k + 1, iu = m), uplo "L" and
     # abstol 0, as scipy.linalg.eigh(subset_by_index=[m - k, m - 1]) passes
-    # them.  Returns (number of eigenvalues found, info).
+    # them, then the three characters' hidden lengths.  Returns (number of
+    # eigenvalues found, info).
     found, info = ctypes.c_int64(), ctypes.c_int64()
     isuppz = np.empty(2 * k, dtype=np.int64)
-    _bind("dsyevr", jobz, b"I", b"L", m, a, m, 0.0, 0.0, m - int(k) + 1, m, 0.0, found,
-          w, z, ldz, isuppz, work, lwork, iwork, liwork, info)()
+    args = (jobz, b"I", b"L", m, a, m, 0.0, 0.0, m - int(k) + 1, m, 0.0, found,
+            w, z, ldz, isuppz, work, lwork, iwork, liwork, info)
+    _lapack()(*[_PASS[type(arg)](arg) for arg in args], 1, 1, 1)
     return found.value, info.value
 
 
@@ -350,39 +332,24 @@ def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> float:
     return float(np.linalg.norm(w))
 
 
-@functools.lru_cache(maxsize=256)
-def _dstemr(thread: int, n: int):
-    """(call, d, e, w, z, flags): dstemr at order n, with the arguments of
-    scipy.linalg.lapack.dstemr bound once per order and per thread (threads
-    solve concurrently), so that a Krylov step pays for the solve alone.
-    flags are found, tryrac and info; the views keep both buffers alive."""
-    x, ints = np.empty(22 * n), np.empty(10 * n + 5, dtype=np.int64)
-    d, e, w, z, work = x[:n], x[n:2 * n], x[2 * n:3 * n], x[3 * n:4 * n], x[4 * n:]
-    call = _bind("dstemr", b"V", b"I", n, d, e, 0.0, 0.0, n, n, ints[0:], w, z, n, n, ints[3:],
-                 ints[1:], work, 18 * n, ints[5:], 10 * n, ints[2:])
-    return call, d, e, w, z, ints[:3]
+def _ritz_top(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, np.ndarray, float] | None:
+    """Largest singular value theta of the upper-bidiagonal B and its vectors.
 
-
-def _ritz_top(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, np.ndarray] | None:
-    """Largest singular value of the upper-bidiagonal B and its vectors.
-
-    B is k x k with diagonal alpha and superdiagonal beta.  The symmetric
-    2k x 2k tridiagonal with zero diagonal and off-diagonal (alpha_0,
-    beta_0, alpha_1, ..., alpha_{k-1}) has eigenvalues +-sigma_i(B); the
-    eigenvector z of its largest interleaves the right and left singular
-    vectors, y = z[0::2] and x = z[1::2], each of norm 1/sqrt(2).  Solved by
-    LAPACK's dstemr for that one eigenpair; None if it fails.
+    B is k x k with diagonal alpha and superdiagonal beta.  The top
+    eigenpair (theta^2, y) of the tridiagonal B'B, whose diagonal is
+    alpha_i^2 + beta_{i-1}^2 and whose subdiagonal is alpha_i beta_i, comes
+    from numpy's eigh of its lower triangle; y is the right singular vector.
+    The left one is x = B y / theta, of which only its last entry,
+    alpha_{k-1} y_{k-1} / theta, is needed.  Returns (theta, y, x_last);
+    None if eigh fails.
     """
-    call, d, e, w, z, flags = _dstemr(threading.get_ident(), 2 * alpha.size)
-    d[:] = 0.0  # dstemr overwrites d and e
-    e[-1] = 0.0  # it takes the off-diagonal padded to length 2k
-    e[0::2] = alpha
-    e[1:-1:2] = beta
-    flags[1] = 1  # tryrac, which dstemr may clear
-    call()
-    if flags[2] != 0 or flags[0] != 1:
+    gram = np.diag(alpha**2 + np.append(0.0, beta**2)) + np.diag(alpha[:-1] * beta, -1)
+    try:
+        lam, vecs = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError:
         return None
-    return float(w[0]), z.copy()
+    theta, y = float(np.sqrt(lam[-1])), vecs[:, -1]
+    return theta, y, float(alpha[-1] * y[-1] / theta)
 
 
 def _krylov_norm(b: np.ndarray) -> float | None:
@@ -396,10 +363,11 @@ def _krylov_norm(b: np.ndarray) -> float | None:
     sigma = |b v| and u = b v / sigma, it holds when
     |b'u - sigma v| <= _KRYLOV_RTOL sigma.  Returns sigma if it holds, None
     if it does not within the cap or the recurrence or the Ritz solve
-    breaks down, and None without dstemr (_lapack() is None).
+    breaks down.  The Ritz pair comes from B'B (_ritz_top), which squares
+    the condition number of B; that is harmless here, because whether sigma
+    is returned rests on the certificate computed from b alone.  The route
+    binds no LAPACK routine, so it runs whether or not _lapack() has one.
     """
-    if _lapack() is None:
-        return None
     b = np.ascontiguousarray(b)
     m, t = b.shape
     steps = _KRYLOV_STEPS
@@ -419,10 +387,10 @@ def _krylov_norm(b: np.ndarray) -> float | None:
         ritz = _ritz_top(alpha[:j + 1], beta[:j])
         if ritz is None:
             return None
-        theta, z = ritz
-        # b'U x - theta V y = beta_j x_last v_{j+1}, with |x| = sqrt(2) |z[1::2]|.
-        if beta[j] * np.sqrt(2.0) * abs(z[-1]) <= _KRYLOV_RTOL * theta:
-            v = z[0::2] @ vs[:j + 1]
+        theta, y, x_last = ritz
+        # b'U x - theta V y = beta_j x_last v_{j+1}.
+        if beta[j] * abs(x_last) <= _KRYLOV_RTOL * theta:
+            v = y @ vs[:j + 1]
             v /= np.linalg.norm(v)
             u = b @ v
             sigma = float(np.linalg.norm(u))
@@ -454,9 +422,9 @@ def spectral_norm(a) -> float:
     eigenvalue of the Gram matrix of the shorter side, from the subset
     eigensolver.  Where the crossover sits, measured on one BLAS thread: at
     n = T = 100 the Krylov route is slower even with a signal (its
-    per-step costs are fixed); at 200 it is 1.3-2.2 times faster with a
-    signal and a fallback costs 2.4 times the Gram route; at 400 it is 3-6
-    times faster and a fallback costs 1.5 times; at 2000, 12-19 times
+    per-step costs are fixed); at 200 it is 1.0-2.1 times faster with a
+    signal and a fallback costs 3.0-3.4 times the Gram route; at 400 it is
+    3-6 times faster and a fallback costs 1.7 times; at 2000, 14-31 times
     faster.  Both routes run on one BLAS thread on the power-of-two-scaled
     b of _scaled, so the result is a fixed function of the entries.
     """

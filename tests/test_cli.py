@@ -474,7 +474,7 @@ def test_each_ground_truth_decomposed_once_per_command(argv, svd_values_calls):
 
 
 # Every subcommand at small sizes, then noise_norm_check at n = T = 200 (Krylov
-# steps, so dstemr) and one ground truth (its spectrum's sketch).
+# route) and one ground truth (its spectrum's sketch).
 # With "blocked" as its first argument the run fails any import of scipy.
 _SCIPY_FREE_RUN = """
 import json, os, sys

@@ -198,10 +198,8 @@ def test_krylov_certificate_is_computed_from_the_matrix(monkeypatch):
     ritz_top = linalg._ritz_top
 
     def overconfident(alpha, beta):
-        theta, z = ritz_top(alpha, beta)
-        z = z.copy()
-        z[-1] = 0.0
-        return theta, z
+        theta, y, _ = ritz_top(alpha, beta)
+        return theta, y, 0.0
 
     monkeypatch.setattr(linalg, "_ritz_top", overconfident)
     a = _spectral_case((300, 300), 100.0, 1.0, np.random.default_rng(6))
@@ -430,7 +428,7 @@ def test_subset_eigh_equals_scipy_eigh_drawn(m, extra, seed, data):
 
 
 def test_subset_eigh_releases_the_gil():
-    assert not type(linalg._lapack()["dsyevr"])._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+    assert not type(linalg._lapack())._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
 
 @pytest.mark.parametrize("shape, k", [((5, 5), 0), ((5, 5), -1), ((5, 5), 6), ((4, 5), 5),
@@ -443,12 +441,10 @@ def test_subset_eigh_rejects_bad_arguments(shape, k):
 def test_dsyevr_signature_checked(monkeypatch):
     # Every integer argument is passed at 64 bits, so an OpenBLAS whose
     # configuration does not report 64-bit integers must be refused, not
-    # called, even though it exports every routine; the numpy routes run.
+    # called, even though it exports dsyevr; the numpy routes run.
     if linalg._lapack() is None:
         pytest.skip("numpy has no bundled OpenBLAS")
-    real = linalg._openblas()
-    lib = types.SimpleNamespace(**{f"scipy_{name}_64_": getattr(real, f"scipy_{name}_64_")
-                                   for name in linalg._ROUTINES})
+    lib = types.SimpleNamespace(scipy_dsyevr_64_=linalg._openblas().scipy_dsyevr_64_)
     lib.scipy_openblas_get_config64_ = lambda: b"OpenBLAS 0.3.31 DYNAMIC_ARCH MAX_THREADS=64"
     monkeypatch.setattr(linalg, "_openblas", lambda: lib)
     monkeypatch.setattr(linalg, "_lapack", functools.cache(linalg._lapack.__wrapped__))
@@ -458,18 +454,40 @@ def test_dsyevr_signature_checked(monkeypatch):
 
 
 @pytest.mark.parametrize("shape", [(200, 200), (300, 250), (90, 400), (1000, 1000)])
-def test_numpy_routes_match_lapack_routes(shape, monkeypatch):
-    # Without numpy's bundled OpenBLAS each of the two ctypes routines' sites
-    # takes a numpy route: eigh for dsyevr and the Gram route for the Krylov
-    # steps' dstemr.
+def test_numpy_routes_match_lapack_routes(shape, monkeypatch, kernel_calls):
+    # Without numpy's bundled OpenBLAS, dsyevr's site slices numpy's eigh.
+    # The Krylov route binds no LAPACK routine, so from a shorter side of
+    # _KRYLOV_MIN on spectral_norm certifies there all the same, with no
+    # Gram fallback.  svd_truncated's own _subset_eigh call is not counted.
     rng = np.random.default_rng(shape[0] + shape[1])
     a = _spectral_case(shape, 4.0 * np.sqrt(max(shape)), 1.0, rng)
     routes = []
     for lapack in (linalg._lapack, lambda: None):
         monkeypatch.setattr(linalg, "_lapack", lapack)
-        routes.append((*svd_truncated(a, 3), spectral_norm(a)))
+        triplets = svd_truncated(a, 3)
+        kernel_calls.clear()
+        routes.append((*triplets, spectral_norm(a)))
+        if min(shape) >= linalg._KRYLOV_MIN:
+            assert kernel_calls == ["_krylov_norm"]
     for got, want in zip(*routes):  # U, s, V, sigma_1
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+_decades = st.floats(-4.0, 4.0).map(lambda e: 10.0**e)
+
+
+@given(data=st.data(), k=st.integers(1, 30))
+@settings(max_examples=200, deadline=None)
+def test_ritz_top_is_the_top_singular_triplet_of_the_bidiagonal(data, k):
+    alpha = np.array(data.draw(st.lists(_decades, min_size=k, max_size=k), label="alpha"))
+    beta = np.array(data.draw(st.lists(st.one_of(st.just(0.0), _decades),
+                                       min_size=k - 1, max_size=k - 1), label="beta"))
+    bidiagonal = np.diag(alpha) + np.diag(beta, 1)
+    theta, y, x_last = linalg._ritz_top(alpha, beta)
+    assert theta == pytest.approx(np.linalg.svd(bidiagonal, compute_uv=False)[0], rel=1e-13)
+    residual = bidiagonal.T @ (bidiagonal @ y) - theta**2 * y
+    assert np.linalg.norm(residual) <= 1e-13 * theta**2
+    assert x_last == (bidiagonal @ y)[-1] / theta
 
 
 def test_kernels_concurrent_calls_match_sequential():
