@@ -5,9 +5,10 @@ Subcommands map one-to-one onto the experiment builders in
 in two tables.  ``_OPTIONS`` declares each option once: its flag, its type or
 choices, and its valid range.  ``_SUBCOMMANDS`` has one row per subcommand:
 its help, its builder, the options it takes beyond the common ones, the
-defaults of the options only the front end reads, and its report handler.
-The parser, the config-file keys, the defaults, the range checks and the
-builder calls all read these two tables.
+defaults of the options only the front end reads, its report handler, and
+any minimum it raises above an option's own.  The parser, the config-file
+keys, the defaults, the range checks and the builder calls all read these
+two tables.
 
 Option values resolve in three layers: the keyword defaults of the
 subcommand's builder, then a config file (INI style, a ``[common]`` section
@@ -37,11 +38,12 @@ import warnings
 from typing import Callable, NamedTuple
 
 from . import __version__, experiments, panel
-from .entrywise import DefaultC0Warning, calibrate_c0
+from .entrywise import _PRETEST_K_MAX, DefaultC0Warning, calibrate_c0
 from .montecarlo import (
     ExperimentError,
     InvalidGridPoint,
     ResultTable,
+    build_grid,
     rate_slope,
     run_experiment,
     write_csv,
@@ -68,14 +70,15 @@ class Subcommand(NamedTuple):
     """One subcommand: the builder whose keyword defaults are its defaults
     (a dict holds one builder per --mode), the options it takes beyond the
     common ones, the defaults of the options that only the front end reads,
-    and the handler that runs it and reports."""
+    the handler that runs it and reports, and the minimums it raises above
+    those of ``_OPTIONS``."""
 
     help: str
     builder: Callable | dict
     options: tuple[str, ...]
     defaults: dict
     report: Callable[[dict], int]
-    min_reps: int = 1
+    minimums: dict = {}
 
 
 _RATE_BUILDERS = {"tau": experiments.rate_in_tau_spec, "size": experiments.rate_in_size_spec}
@@ -225,7 +228,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         value, option = cfg[key], _OPTIONS[key]
         if value is None:
             continue
-        minimum = row.min_reps if key == "reps" else option.minimum
+        minimum = row.minimums.get(key, option.minimum)
         if minimum is not None and value < minimum:
             raise ValueError(f"{key} must be >= {minimum}, got {value}")
         if option.bounds is not None and not option.bounds[0] < value < option.bounds[1]:
@@ -329,8 +332,12 @@ def _cmd_entrywise_rate(cfg: dict) -> int:
 
 def _cmd_entrywise_coverage(cfg: dict) -> int:
     if cfg["calibrate"]:
-        # Calibrate on the spec's strong grid points; the last one is the weak point.
-        taus = [gp["tau"] for gp in _spec(cfg).grid[:-1]]
+        # Calibrate on the spec's strong grid points; the last one is the weak
+        # point.  Every point is built first, so that one that cannot be built
+        # stops the run before the calibration's replications.
+        spec = _spec(cfg)
+        build_grid(spec)
+        taus = [gp["tau"] for gp in spec.grid[:-1]]
         # calibrate_c0 warns when no replication calibrated C0 and it returns
         # the default: record its warnings, label the value, then re-emit them.
         with warnings.catch_warnings(record=True) as caught:
@@ -429,10 +436,12 @@ _SUBCOMMANDS = {
         ("kappa", "c0", "calibrate"), {"calibrate": False, "format": "csv"},
         _cmd_entrywise_coverage,
     ),
+    # The pre-test takes _PRETEST_K_MAX + 1 triplets of the n x (T - 1) data
+    # without column 1.
     "adaptivity-demo": Subcommand(
         "pre-test interval coverage collapse on the hidden-entry pair",
         experiments.pretest_control_spec, ("kappa", "eta", "tau2", "alpha"), {"format": "csv"},
-        _cmd_adaptivity_demo,
+        _cmd_adaptivity_demo, {"n": _PRETEST_K_MAX + 1, "T": _PRETEST_K_MAX + 2},
     ),
     "lower-bound-check": Subcommand(
         "likelihood-ratio test power at the two-point testing pair", experiments.lr_power_check,
@@ -449,7 +458,7 @@ _SUBCOMMANDS = {
     # The oracle checks report Monte Carlo standard errors, which need two draws.
     "oracle-check": Subcommand(
         "information-theory oracles against Monte Carlo", experiments.oracle_checks, (),
-        {"format": "json"}, _cmd_oracle_check, min_reps=2,
+        {"format": "json"}, _cmd_oracle_check, {"reps": 2},
     ),
 }
 

@@ -3,7 +3,7 @@
 Implements the rank-one PCA plug-in estimator, its spectral-threshold
 truncated variant, the adaptive confidence interval whose width tracks the
 observed signal strength, and the naive "pre-test then PCA" interval used as
-a negative control.
+a negative control; the plug-in and the pre-test share one least-squares fit.
 
 All estimators treat entry (1,1) of the data matrix as missing: they never
 read ``x[0, 0]``.
@@ -50,7 +50,7 @@ _SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 class DegenerateLoadingError(ValueError):
-    """Raised when the estimated loading vector has no mass on rows 2..n."""
+    """Raised when the estimated loadings are singular on rows 2..n."""
 
 
 class DefaultC0Warning(RuntimeWarning):
@@ -107,13 +107,18 @@ def estimate_m11(x) -> float:
     n, t = x.shape
     if n < 2 or t < 2:
         raise ValueError("need at least a 2x2 data matrix")
-    w = x[:, 1:]
-    lhat = svd_truncated(w, 1).U[:, 0]
-    rest = lhat[1:]
-    denom = float(rest @ rest)
-    if denom == 0.0:
-        raise DegenerateLoadingError("estimated loading vanishes on rows 2..n")
-    return float(lhat[0] * (rest @ x[1:, 0]) / denom)
+    return _fit_entry_11(x, svd_truncated(x[:, 1:], 1).U)[0]
+
+
+def _fit_entry_11(x: np.ndarray, lhat: np.ndarray) -> tuple[float, np.ndarray]:
+    """The plug-in m11 = lhat[0] @ f1 and its column-1 factor score
+    f1 = (L'L)^-1 L'x[1:, 0], fitted on rows 2..n: L = lhat[1:], n x k."""
+    l_rest = lhat[1:, :]
+    try:
+        f1 = np.linalg.solve(l_rest.T @ l_rest, l_rest.T @ x[1:, 0])
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateLoadingError("estimated loadings are singular on rows 2..n") from exc
+    return float(lhat[0, :] @ f1), f1
 
 
 def spectral_threshold(kappa_bar: float, n: int, t: int) -> float:
@@ -255,14 +260,7 @@ def naive_pretest_ci(x, alpha: float = 0.05) -> Interval:
     top = svd_truncated(w, _PRETEST_K_MAX + 1)  # one decomposition for every step
     khat = _ratio_khat(top.s**2, _PRETEST_K_MAX)
     lhat = top.U[:, :khat]               # n x khat, orthonormal
-    # Column-1 factor score by least squares on the observed rows 2..n.
-    l_rest = lhat[1:, :]
-    gram = l_rest.T @ l_rest
-    try:
-        f1 = np.linalg.solve(gram, l_rest.T @ x[1:, 0])
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateLoadingError("singular leverage system") from exc
-    value = float(lhat[0, :] @ f1)
+    value, f1 = _fit_entry_11(x, lhat)
 
     # Leverage-based plug-in standard error.  Row leverage uses the
     # orthonormal loadings; column leverage uses the factor scores of w.

@@ -103,17 +103,14 @@ def _as_matrix(a) -> tuple[np.ndarray, float]:
     return a, top
 
 
-def _orient_columns(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _orient_columns(u: np.ndarray, v: np.ndarray) -> None:
     # Deterministic sign convention: make the largest-magnitude entry of each
     # left singular vector positive; flip the paired right vector to match.
-    u = u.copy()
-    v = v.copy()
-    for j in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
-    return u, v
+    # Both are flipped in place, so the caller passes arrays of its own.
+    peak = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    signs = np.where(peak < 0, -1.0, 1.0)
+    u *= signs
+    v *= signs
 
 
 @functools.cache
@@ -290,10 +287,11 @@ def svd_truncated(a, k: int) -> SvdResult:
         b = _scaled(a, top)[0]
         q = _subset_eigh(b, k, vectors=True)[1]
         ub, s, vt = np.linalg.svd(q.T @ a, full_matrices=False)
-    u, v = q @ ub, vt.T
+    # Both in C order: the layout moves the last bits of products that read them.
+    u, v = q @ ub, np.ascontiguousarray(vt.T)
     if tall:
         u, v = v, u
-    u, v = _orient_columns(u, v)
+    _orient_columns(u, v)
     return SvdResult(U=u, s=s, V=v)
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "register_procedure",
     "get_generator",
     "get_procedure",
+    "build_grid",
     "run_experiment",
     "rate_slope",
     "write_csv",
@@ -212,19 +213,36 @@ def _summarize(spec: ExperimentSpec, gi: int, rows: list) -> GridSummary:
     )
 
 
+def build_grid(spec: ExperimentSpec) -> list:
+    """Build every grid point of `spec`, in grid order, on one BLAS thread.
+
+    A grid point that cannot be built raises :class:`InvalidGridPoint`.
+    """
+    gen = get_generator(spec.generator)
+    points = []
+    with single_blas_thread():
+        for gi, grid_point in enumerate(spec.grid):
+            try:
+                points.append(gen(grid_point, spec.generator_params))
+            except Exception as exc:
+                raise InvalidGridPoint(f"{spec.name}: grid point {gi} {grid_point} "
+                                       f"cannot be built: {type(exc).__name__}: {exc}") from exc
+    return points
+
+
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     """Run all replications; deterministic output regardless of worker count.
 
-    Each grid point is built once, before any replication runs; one that
-    cannot be built raises :class:`InvalidGridPoint`, and more than
-    MAX_ERROR_FRACTION error rows at a grid point raise
-    :class:`ExperimentError`.  Builds and replications run on one BLAS
-    thread (:func:`linalg.single_blas_thread`) at every worker count, and
-    `workers` is clamped to the number of cells and of CPUs this process may
-    run on (its affinity mask where the platform reports one, else
-    os.cpu_count()), so workers never compete with BLAS threads for them.
+    Each grid point is built once, by :func:`build_grid`, before any
+    replication runs; one that cannot be built raises
+    :class:`InvalidGridPoint`, and more than MAX_ERROR_FRACTION error rows
+    at a grid point raise :class:`ExperimentError`.  Builds and replications
+    run on one BLAS thread (:func:`linalg.single_blas_thread`) at every
+    worker count, and `workers` is clamped to the number of cells and of
+    CPUs this process may run on (its affinity mask where the platform
+    reports one, else os.cpu_count()), so workers never compete with BLAS
+    threads for them.
     """
-    gen = get_generator(spec.generator)
     proc = get_procedure(spec.procedure)
     cells = [
         (gi, rep)
@@ -237,13 +255,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
         cpus = os.cpu_count() or 1
     workers = min(workers, len(cells), cpus)
     with single_blas_thread():
-        points = []
-        for gi, grid_point in enumerate(spec.grid):
-            try:
-                points.append(gen(grid_point, spec.generator_params))
-            except Exception as exc:
-                raise InvalidGridPoint(f"{spec.name}: grid point {gi} {grid_point} "
-                                       f"cannot be built: {type(exc).__name__}: {exc}") from exc
+        points = build_grid(spec)
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 records = list(pool.map(lambda c: _run_cell(spec, proc, points, *c), cells))

@@ -122,6 +122,13 @@ def test_bad_config_value_exit_code(sub, ini, tmp_path, capsys):
     (["entrywise-coverage", "--config", "seed-1.ini"], {}),
     (["oracle-check", "--seed", "-1"], {}),
     (["oracle-check", "--config", "seed-1.ini"], {}),
+    # The pre-test takes 3 triplets of the n x (T - 1) data without column 1;
+    # tau2 = 0.1 lies below the hidden-entry pair's tau0 at both sizes.
+    (["adaptivity-demo", "--n", "3", "--T", "3", "--tau2", "0.1", "--reps", "2"], {}),
+    (["adaptivity-demo", "--n", "2", "--T", "10", "--tau2", "0.1", "--reps", "2"], {}),
+    # At n = T = 6 the coverage run's weak point asks for tau = 2 sqrt(n + T),
+    # above kappa sqrt(nT): the grid is built before anything is calibrated.
+    (["entrywise-coverage", "--calibrate", "--n", "6", "--T", "6", "--reps", "2"], {}),
 ])
 def test_invalid_size_exit_code(flags, tmp_path, monkeypatch, capsys):
     argv, env = flags

@@ -3,7 +3,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -99,6 +99,27 @@ def test_estimate_m11_degenerate_loading():
         estimate_m11(x)
     with pytest.raises(ValueError):
         estimate_m11(np.ones((1, 5)))
+
+
+@given(k=st.sampled_from([1, 2]), n=st.integers(4, 12), t=st.integers(4, 12),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_fit_entry_11_exact_on_any_basis_of_a_rank_k_mean(k, n, t, seed):
+    # The least-squares fit that estimate_m11 (k = 1) and naive_pretest_ci
+    # share recovers m11 of a noiseless rank-k mean from any orthonormal basis
+    # of col(L), given L on rows 2..n and F on columns 2..T of full rank k.
+    rng = np.random.default_rng(seed)
+    loadings, scores = rng.standard_normal((n, k)), rng.standard_normal((k, t))
+    assume(np.linalg.cond(loadings[1:]) < 10 and np.linalg.cond(scores[:, 1:]) < 10)
+    m = loadings @ scores
+    rotation = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    basis = svd_truncated(m[:, 1:], k).U @ rotation
+    value, f1 = entrywise._fit_entry_11(m, basis)
+    assert value == pytest.approx(m[0, 0], abs=1e-9)
+    hidden = m.copy()
+    hidden[0, 0] = math.nan
+    value_nan, f1_nan = entrywise._fit_entry_11(hidden, basis)
+    assert value_nan == value and np.array_equal(f1_nan, f1)  # bitwise identical
 
 
 def test_spectral_threshold_reference_value():
