@@ -6,7 +6,8 @@ observed signal strength, and the naive "pre-test then PCA" interval used as
 a negative control; the plug-in and the pre-test share one least-squares fit.
 
 All estimators treat entry (1,1) of the data matrix as missing: they never
-read ``x[0, 0]``.
+read ``x[0, 0]``.  Each refuses data that are not 2-D, or that have a
+non-finite entry outside (1,1), with ``ValueError`` before any decomposition.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .linalg import _KRYLOV_RTOL, SvdResult, spectral_norm, svd_truncated
+from .linalg import _KRYLOV_RTOL, SvdResult, _as_matrix, spectral_norm, svd_truncated
 from .model import DEFAULT_SEED
 
 __all__ = [
@@ -107,6 +108,7 @@ def estimate_m11(x) -> float:
     n, t = x.shape
     if n < 2 or t < 2:
         raise ValueError("need at least a 2x2 data matrix")
+    _as_matrix(x[1:, :1])  # rows 2..n of column 1; svd_truncated checks columns 2..T
     return _fit_entry_11(x, svd_truncated(x[:, 1:], 1).U)[0]
 
 
@@ -256,6 +258,7 @@ def naive_pretest_ci(x, alpha: float = 0.05) -> Interval:
         raise ValueError("alpha must be in (0, 1)")
     x = np.asarray(x, dtype=float)
     n, t = x.shape
+    _as_matrix(x[1:, :1])  # rows 2..n of column 1; svd_truncated checks w
     w = x[:, 1:]
     top = svd_truncated(w, _PRETEST_K_MAX + 1)  # one decomposition for every step
     khat = _ratio_khat(top.s**2, _PRETEST_K_MAX)

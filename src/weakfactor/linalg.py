@@ -66,7 +66,6 @@ __all__ = [
     "spectral_norm",
     "max_abs_entry",
     "zero_entry_11",
-    "trace_product",
     "numerical_rank",
     "singular_values",
     "single_blas_thread",
@@ -456,14 +455,6 @@ def zero_entry_11(a) -> np.ndarray:
     return _as_matrix(out)[0]
 
 
-def trace_product(a, b) -> float:
-    """trace(A'B), i.e. the entrywise inner product of A and B."""
-    a, b = _as_matrix(a)[0], _as_matrix(b)[0]
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))
-
-
 # singular_values' sketch: its width, the largest rank it certifies, and the
 # residual tolerance of its certificate.
 _SKETCH_WIDTH = 4
@@ -479,13 +470,15 @@ def singular_values(a) -> np.ndarray:
     validated the input: with Omega the fixed-seed T x 4 block of
     _krylov_start, Q = qr(b Omega) and B = Q'b, the residual
     rho = |b - QB|_F is formed explicitly (the shortcut |b|_F^2 - |B|_F^2
-    cancels to about RANK_RTOL).  Weyl's inequality and Eckart-Young give
-    sigma_i(B) <= sigma_i(b) <= sigma_i(B) + rho for i <= 4, and
-    sigma_i(b) <= rho for i > 4.  When rho <= _SKETCH_RTOL sigma_1(B), the
-    result is sigma_1..4(B) followed by zeros: every value, a tail zero
-    included, lies at most rho below the true one, so a zero in the tail
-    means "at most rho", not exactly zero.  A matrix of rank 4 or less is
-    certified with rho at rounding level, a zero matrix with rho = 0.
+    cancels to about RANK_RTOL), in blocks of 64 rows over b itself, so the
+    sketch holds one n x T array besides `a`.  Weyl's inequality and
+    Eckart-Young give sigma_i(B) <= sigma_i(b) <= sigma_i(B) + rho for
+    i <= 4, and sigma_i(b) <= rho for i > 4.  When
+    rho <= _SKETCH_RTOL sigma_1(B), the result is sigma_1..4(B) followed by
+    zeros: every value, a tail zero included, lies at most rho below the
+    true one, so a zero in the tail means "at most rho", not exactly zero.
+    A matrix of rank 4 or less is certified with rho at rounding level, a
+    zero matrix with rho = 0.
 
     Otherwise (rank 5 or more, or a side of 4 or less) the result is
     np.linalg.svd(a, compute_uv=False).  Input that is not 2-D or has a
@@ -498,7 +491,10 @@ def singular_values(a) -> np.ndarray:
             q = np.linalg.qr(b @ _krylov_start(b.shape[1], _SKETCH_WIDTH).T)[0]
             c = q.T @ b
             s = np.linalg.svd(c, compute_uv=False)
-            b -= q @ c  # b - QB written over b, _scaled's own copy
+            # b - QB written over b, _scaled's own copy, 64 rows at a time:
+            # the product's temporary is 64 x T, not a second n x T.
+            for i in range(0, b.shape[0], 64):
+                b[i:i + 64] -= q[i:i + 64] @ c
             rho = np.linalg.norm(b)
         if rho <= _SKETCH_RTOL * s[0]:
             out = np.zeros(min(a.shape))

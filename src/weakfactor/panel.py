@@ -6,6 +6,9 @@ of X and Y; it achieves the (nT)^{-1/2} rate uniformly over factor strengths.
 Also provided: the least-squares estimator via alternating minimization, the
 strong-factor confidence interval whose width is known in closed form, and
 the asymptotic standard deviation of the least-squares estimator.
+
+The estimators (estimate_beta, ls_estimator and ci_star) refuse an X or Y that
+is not 2-D or not finite with ``ValueError`` before any decomposition.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entrywise import Interval
-from .linalg import svd_truncated, trace_product
+from .linalg import _as_matrix, svd_truncated
 from .model import PanelInstance
 
 __all__ = [
@@ -71,8 +74,7 @@ def estimate_beta(x, y, r0: int, r1: int) -> PanelEstimate:
     lower-dimensional side of the factor structure).  r0 and r1 are upper
     bounds on the ranks of M and D; overstating them is allowed.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _as_matrix(x)[0], _as_matrix(y)[0]
     if x.shape != y.shape:
         raise ValueError("X and Y must have the same shape")
     n, t = x.shape
@@ -96,11 +98,13 @@ def estimate_beta(x, y, r0: int, r1: int) -> PanelEstimate:
         raise ValueError(f"effective rank {r_hat:g} >= n = {n}")
 
     pi_alpha_x = x - alpha_hat @ (alpha_hat.T @ x)
-    denominator = trace_product(x, pi_alpha_x)
-    if denominator <= 0:
-        raise DegenerateDesignError("trace(X' Pi_alpha X) <= 0")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        denominator = float(np.sum(x * pi_alpha_x))
+    if not 0.0 < denominator < math.inf:
+        raise DegenerateDesignError(
+            f"trace(X' Pi_alpha X) = {denominator:g}: X is degenerate or the sum overflowed")
     pi_lambda_pi_alpha_x = pi_alpha_x - lambda_hat @ (lambda_hat.T @ pi_alpha_x)
-    numerator = trace_product(y, pi_lambda_pi_alpha_x)
+    numerator = float(np.sum(y * pi_lambda_pi_alpha_x))
     beta_hat = (n - r1) / (n - r_hat) * numerator / denominator
     return PanelEstimate(
         beta_hat=float(beta_hat),
@@ -127,15 +131,17 @@ def ls_estimator(
 
     Returns (beta_ls, a_hat, converged).
     """
-    x = np.ascontiguousarray(x, dtype=float)
-    y = np.ascontiguousarray(y, dtype=float)
+    x = np.ascontiguousarray(_as_matrix(x)[0])
+    y = np.ascontiguousarray(_as_matrix(y)[0])
     if x.shape != y.shape:
         raise ValueError("X and Y must have the same shape")
     if rank >= min(x.shape):
         raise ValueError("rank must be below min(n, T)")
-    x_ss = float(np.sum(x * x))
-    if x_ss == 0.0:
-        raise DegenerateDesignError("X is identically zero")
+    with np.errstate(over="ignore"):  # refused below
+        x_ss = float(np.sum(x * x))
+    if not 0.0 < x_ss < math.inf:
+        raise DegenerateDesignError(
+            f"sum of X^2 = {x_ss:g}: X is identically zero or the sum overflowed")
 
     beta = 0.0
     a = np.zeros_like(y)
@@ -198,10 +204,8 @@ def ci_star(x, y, kappa2: float) -> Interval:
     ||D||_F >= kappa2 sqrt(nT).  Raises RuntimeError if the least-squares
     fit has not converged.
     """
-    x = np.asarray(x, dtype=float)
-    n, t = x.shape
     beta_ls, _, converged = ls_estimator(x, y, rank=2)
     if not converged:
         raise RuntimeError("ls_estimator did not converge")
-    half = ci_star_half_width(n, t, kappa2)
+    half = ci_star_half_width(*np.shape(x), kappa2)
     return Interval(beta_ls - half, beta_ls + half)

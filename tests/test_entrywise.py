@@ -70,6 +70,9 @@ def test_estimate_m11_never_reads_missing_entry():
 @example(n=5, t=6, seed=0, missing=math.nan)  # st.floats() seldom draws these
 @example(n=6, t=5, seed=1, missing=math.inf)
 @example(n=4, t=4, seed=2, missing=-math.inf)
+@example(n=12, t=4, seed=3, missing=math.nan)
+@example(n=4, t=12, seed=4, missing=math.inf)
+@example(n=12, t=12, seed=5, missing=-math.inf)
 @settings(max_examples=50, deadline=None)
 def test_estimators_never_read_missing_entry_fuzzed(n, t, seed, missing):
     rng = np.random.default_rng(seed)

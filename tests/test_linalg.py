@@ -2,6 +2,7 @@ import ctypes
 import functools
 import sys
 import threading
+import tracemalloc
 import types
 import unittest.mock
 
@@ -13,8 +14,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from weakfactor import linalg
-from weakfactor.entrywise import spectral_threshold
+from weakfactor.entrywise import (
+    adaptive_estimate_m11,
+    estimate_m11,
+    naive_pretest_ci,
+    spectral_threshold,
+)
 from weakfactor.model import FactorInstance
+from weakfactor.panel import ci_star, estimate_beta, ls_estimator
 
 from weakfactor.linalg import (
     max_abs_entry,
@@ -22,7 +29,6 @@ from weakfactor.linalg import (
     singular_values,
     spectral_norm,
     svd_truncated,
-    trace_product,
     zero_entry_11,
 )
 
@@ -258,14 +264,6 @@ def test_zero_entry_11_copies():
         zero_entry_11(a2)
 
 
-def test_trace_product_identity():
-    a = RNG.standard_normal((4, 5))
-    b = RNG.standard_normal((4, 5))
-    assert trace_product(a, b) == pytest.approx(np.trace(a.T @ b), rel=1e-12)
-    with pytest.raises(ValueError):
-        trace_product(a, b.T)
-
-
 def test_numerical_rank():
     u = RNG.standard_normal((6, 2))
     v = RNG.standard_normal((5, 2))
@@ -358,12 +356,26 @@ def test_factor_instance_rank_decision_at_the_edges(ratio, accepted, svd_values_
     assert svd_values_calls == [(4, 40)]
 
 
+def test_singular_values_holds_one_copy_of_the_matrix():
+    # The sketch writes b - QB over b, _scaled's copy of the input, 64 rows
+    # at a time: its traced peak is that copy and a 64 x T block, about
+    # 1.2 n T doubles at 400 x 400; an n x T product q @ c would make it 2.
+    a = _low_rank((400, 400), 2, 13)
+    tracemalloc.start()
+    try:
+        s = singular_values(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not s[linalg._SKETCH_WIDTH:].any()  # certified by the sketch
+    assert peak <= 1.5 * a.size * a.itemsize
+
+
 _PUBLIC_KERNELS = {
     "svd_truncated": lambda a: svd_truncated(a, 1),
     "spectral_norm": spectral_norm,
     "max_abs_entry": max_abs_entry,
     "zero_entry_11": zero_entry_11,
-    "trace_product": lambda a: trace_product(a, a),
     "numerical_rank": numerical_rank,
     "singular_values": singular_values,
 }
@@ -385,6 +397,69 @@ def _bad_input(kind):
 def test_public_kernels_refuse_invalid_input(name, kind, message):
     with pytest.raises(ValueError, match=message):
         _PUBLIC_KERNELS[name](_bad_input(kind))
+
+
+# Every public estimator, with the number of data matrices it reads: the
+# entrywise ones take X, the panel ones X and Y.
+_ESTIMATORS = {
+    "estimate_m11": (estimate_m11, 1),
+    "adaptive_estimate_m11": (lambda x: adaptive_estimate_m11(x, kappa_bar=1.0), 1),
+    "naive_pretest_ci": (naive_pretest_ci, 1),
+    "estimate_beta-r0=1-r1=1": (lambda x, y: estimate_beta(x, y, r0=1, r1=1), 2),
+    "estimate_beta-r0=0-r1=1": (lambda x, y: estimate_beta(x, y, r0=0, r1=1), 2),
+    "estimate_beta-r0=1-r1=0": (lambda x, y: estimate_beta(x, y, r0=1, r1=0), 2),
+    "ls_estimator-rank0": (lambda x, y: ls_estimator(x, y, rank=0), 2),
+    "ls_estimator-rank2": (lambda x, y: ls_estimator(x, y, rank=2), 2),
+    "ci_star": (lambda x, y: ci_star(x, y, kappa2=1.0), 2),
+}
+_ESTIMATOR_OPERANDS = [(name, operand) for name, (_, arity) in sorted(_ESTIMATORS.items())
+                       for operand in range(arity)]
+
+
+def _estimator_data():
+    # X: a rank-one signal plus noise; Y = X / 2 + a rank-one signal + noise.
+    rng = np.random.default_rng(12)
+    x = 5.0 * np.outer(rng.standard_normal(8), rng.standard_normal(8))
+    x += rng.standard_normal((8, 8))
+    y = 0.5 * x + 5.0 * np.outer(rng.standard_normal(8), rng.standard_normal(8))
+    return [x, y + rng.standard_normal((8, 8))]
+
+
+def _refuse_decompositions(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("decomposed invalid data")
+
+    monkeypatch.setattr(linalg, "_subset_eigh", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+
+
+@pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+def test_public_estimators_accept_the_clean_data(name):
+    estimator, arity = _ESTIMATORS[name]
+    estimator(*_estimator_data()[:arity])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", [(0, 1), (1, 0), (-1, -1)], ids=["01", "10", "last"])
+@pytest.mark.parametrize("name, operand", _ESTIMATOR_OPERANDS)
+def test_public_estimators_refuse_non_finite_data_before_decomposing(
+        name, operand, entry, bad, monkeypatch):
+    estimator, arity = _ESTIMATORS[name]
+    data = _estimator_data()[:arity]
+    data[operand][entry] = bad
+    _refuse_decompositions(monkeypatch)
+    with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+        estimator(*data)
+
+
+@pytest.mark.parametrize("kind", ["1-D", "3-D"])
+@pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+def test_public_estimators_refuse_data_that_are_not_2d(name, kind, monkeypatch):
+    estimator, arity = _ESTIMATORS[name]
+    data = [a.ravel() if kind == "1-D" else a[None] for a in _estimator_data()[:arity]]
+    _refuse_decompositions(monkeypatch)
+    with pytest.raises(ValueError):
+        estimator(*data)
 
 
 def test_non_finite_rejected():

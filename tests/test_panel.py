@@ -103,6 +103,23 @@ def test_ls_estimator_trivial_cases():
         ls_estimator(x, y, rank=8)
 
 
+@pytest.mark.parametrize("estimator", [
+    lambda x, y: estimate_beta(x, y, r0=1, r1=1).beta_hat,
+    lambda x, y: ls_estimator(x, y, rank=0)[0],
+    lambda x, y: ls_estimator(x, y, rank=2)[0],
+], ids=["estimate_beta", "ls_estimator-rank0", "ls_estimator-rank2"])
+def test_overflowing_sums_are_refused(estimator):
+    # At 2^500 the sums of squares stay finite and the slope is unchanged; at
+    # 2^520 trace(X' Pi_alpha X) and the sum of X^2 overflow.
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((10, 10))
+    y = 0.5 * x + rng.standard_normal((10, 10))
+    assert estimator(np.ldexp(x, 500), np.ldexp(y, 500)) == pytest.approx(estimator(x, y),
+                                                                         rel=1e-12)
+    with pytest.raises(DegenerateDesignError, match="overflowed"):
+        estimator(np.ldexp(x, 520), np.ldexp(y, 520))
+
+
 def test_ls_estimator_objective_monotone():
     x = RNG.standard_normal((15, 15))
     y = np.outer(RNG.standard_normal(15), RNG.standard_normal(15)) + 0.7 * x
