@@ -4,6 +4,9 @@ Implements the rank-one PCA plug-in estimator, its spectral-threshold
 truncated variant, the adaptive confidence interval whose width tracks the
 observed signal strength, and the naive "pre-test then PCA" interval used as
 a negative control; the plug-in and the pre-test share one least-squares fit.
+The adaptive interval's rule lives in :func:`adaptive_ci` alone:
+:func:`calibrate_c0` runs the coverage procedure at C0 = 1 and reads the
+constant from its widths.
 
 All estimators treat entry (1,1) of the data matrix as missing: they never
 read ``x[0, 0]``.  Each refuses data that are not 2-D, or that have a
@@ -30,7 +33,6 @@ __all__ = [
     "spectral_threshold",
     "adaptive_estimate_m11",
     "adaptive_ci",
-    "adaptive_ci_from_estimate",
     "naive_pretest_ci",
     "calibrate_c0",
     "DefaultC0Warning",
@@ -97,6 +99,15 @@ class EntrywiseEstimate:
     truncated: bool
 
 
+def _data(x) -> tuple[np.ndarray, int, int]:
+    """(x, n, T) for the data `x` as a float array; data that are not 2-D
+    are refused with the kernels' message.  No entry is read."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        _as_matrix(x)  # raises "expected a 2-D array"
+    return (x, *x.shape)
+
+
 def estimate_m11(x) -> float:
     """Rank-one PCA plug-in estimate of the (1,1) entry.
 
@@ -104,8 +115,7 @@ def estimate_m11(x) -> float:
     them with column 1 restricted to rows 2..n, so ``x[0, 0]`` is never used.
     The result is invariant to the scale and sign of the loading vector.
     """
-    x = np.asarray(x, dtype=float)
-    n, t = x.shape
+    x, n, t = _data(x)
     if n < 2 or t < 2:
         raise ValueError("need at least a 2x2 data matrix")
     _as_matrix(x[1:, :1])  # rows 2..n of column 1; svd_truncated checks columns 2..T
@@ -166,8 +176,7 @@ def adaptive_estimate_m11(x, kappa_bar: float) -> EntrywiseEstimate:
     Krylov certificate's tolerance 1e-12 is kept on top as margin: it covers
     the second-order terms and the screen's own few roundings.
     """
-    x = np.asarray(x, dtype=float)
-    n, t = x.shape
+    x, n, t = _data(x)
     thr = spectral_threshold(kappa_bar, n, t)
     # Flat index 0 is entry (1,1): the screen sums the other k - 1 squares
     # of x itself, and the zeroed copy is made only when it does not decide.
@@ -187,34 +196,28 @@ def adaptive_estimate_m11(x, kappa_bar: float) -> EntrywiseEstimate:
     return EntrywiseEstimate(estimate_m11(x), stat, thr, truncated=False)
 
 
-def adaptive_ci(x, kappa_bar: float, c0: float = DEFAULT_C0) -> Interval:
+def adaptive_ci(
+    x, kappa_bar: float, c0: float = DEFAULT_C0
+) -> tuple[EntrywiseEstimate, Interval]:
     """Confidence interval whose width adapts to the observed signal strength.
 
+    Returns the :func:`adaptive_estimate_m11` estimate and its interval.
     Below the spectral threshold no consistent estimate exists, so the trivial
     interval [-kappa_bar, kappa_bar] is returned (always valid).  Above it, the
     interval is centered at the plug-in estimate with half-width
     (c0/2) min{sqrt(n+T)/spectral_stat, 1}, spectral_stat being sigma_1
-    there.  The branch is decided by :func:`adaptive_estimate_m11`: when
-    sigma_1 <= |X_-11|_F lies below the threshold with its rounding
-    allowance, as at every n = T below about 960, the trivial interval costs
-    one pass over the data and no decomposition.
+    there.  When sigma_1 <= |X_-11|_F lies below the threshold with its
+    rounding allowance, as at every n = T below about 960, the trivial
+    interval costs one pass over the data and no decomposition.
     """
-    x = np.asarray(x, dtype=float)
-    n, t = x.shape
-    return adaptive_ci_from_estimate(adaptive_estimate_m11(x, kappa_bar), n, t, kappa_bar, c0)
-
-
-def adaptive_ci_from_estimate(
-    est: EntrywiseEstimate, n: int, t: int, kappa_bar: float, c0: float = DEFAULT_C0
-) -> Interval:
-    """The :func:`adaptive_ci` interval of an n x T matrix whose estimate is
-    already computed, so that the data are decomposed once."""
     if c0 <= 0:
         raise ValueError("c0 must be positive")
+    est = adaptive_estimate_m11(x, kappa_bar)
     if est.truncated:
-        return Interval(-kappa_bar, kappa_bar)
+        return est, Interval(-kappa_bar, kappa_bar)
+    n, t = np.shape(x)
     half = 0.5 * c0 * min(math.sqrt(n + t) / est.spectral_stat, 1.0)
-    return Interval(est.value - half, est.value + half)
+    return est, Interval(est.value - half, est.value + half)
 
 
 def _residual_mean_square(x: np.ndarray, top: SvdResult, k: int) -> float:
@@ -256,8 +259,7 @@ def naive_pretest_ci(x, alpha: float = 0.05) -> Interval:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    x = np.asarray(x, dtype=float)
-    n, t = x.shape
+    x, _, t = _data(x)
     _as_matrix(x[1:, :1])  # rows 2..n of column 1; svd_truncated checks w
     w = x[:, 1:]
     top = svd_truncated(w, _PRETEST_K_MAX + 1)  # one decomposition for every step
@@ -293,10 +295,12 @@ def calibrate_c0(
     """Smallest width constant reaching 1 - alpha coverage on a reference grid.
 
     For each grid strength a flat rank-one instance with sigma_1 = tau is
-    sampled `reps` times through :func:`~weakfactor.montecarlo.run_experiment`;
-    each non-truncated replication yields the smallest c0 that would have
-    covered the truth, and the calibrated value is the largest (1 - alpha)
-    quantile of those requirements across the grid.
+    sampled `reps` times through :func:`~weakfactor.montecarlo.run_experiment`,
+    which runs the coverage procedure, :func:`adaptive_ci`, at c0 = 1.  The
+    width is linear in c0, so each non-truncated replication requires
+    c0 = 2 |estimate - truth| / width to cover the truth; the calibrated
+    value is the largest (1 - alpha) quantile of those requirements across
+    the grid.
 
     When no replication lies above the detection threshold (at n = T = 100
     none does) nothing is calibrated: a DefaultC0Warning (a RuntimeWarning)
@@ -313,23 +317,20 @@ def calibrate_c0(
     spec = experiments.ExperimentSpec(
         name="calibrate-c0",
         generator="rank_one_entrywise",
-        procedure="adaptive_point",
+        procedure="adaptive_interval",
         replications=reps,
         master_seed=seed,
         grid=tuple({"n": n, "T": t, "tau": tau} for tau in tau_grid),
         generator_params={"kappa": kappa},
-        procedure_params={"kappa_bar": kappa},
+        procedure_params={"kappa_bar": kappa, "c0": 1.0},
     )
     table = experiments.run_experiment(spec, workers)
     required = 0.0
     calibrated = 0
-    sqrt_nt = math.sqrt(n + t)
     for gi in range(len(spec.grid)):
         # A truncated replication's trivial interval always covers.
-        needs = [
-            2.0 * abs(r.estimate - r.truth) / min(sqrt_nt / r.aux["spectral_stat"], 1.0)
-            for r in table.ok_rows(gi) if not r.aux["truncated"]
-        ]
+        needs = [2.0 * abs(r.estimate - r.truth) / r.width
+                 for r in table.ok_rows(gi) if not r.aux["truncated"]]
         calibrated += len(needs)
         if needs:
             required = max(required, float(np.quantile(needs, 1.0 - alpha)))

@@ -33,8 +33,7 @@ from .adversarial import (
 )
 from .entrywise import (
     DEFAULT_C0,
-    adaptive_ci_from_estimate,
-    adaptive_estimate_m11,
+    adaptive_ci,
     estimate_m11,
     naive_pretest_ci,
 )
@@ -226,18 +225,9 @@ def _proc_pca(data, grid_point, params):
     return {"estimate": estimate_m11(data)}
 
 
-@register_procedure("adaptive_point")
-def _proc_adaptive(data, grid_point, params):
-    est = adaptive_estimate_m11(data, float(params["kappa_bar"]))
-    return {"estimate": est.value, "truncated": est.truncated, "spectral_stat": est.spectral_stat}
-
-
 @register_procedure("adaptive_interval")
 def _proc_adaptive_ci(data, grid_point, params):
-    kappa_bar = float(params["kappa_bar"])
-    c0 = float(params["c0"])
-    est = adaptive_estimate_m11(data, kappa_bar)
-    iv = adaptive_ci_from_estimate(est, *data.shape, kappa_bar, c0)
+    est, iv = adaptive_ci(data, float(params["kappa_bar"]), float(params["c0"]))
     return {
         "estimate": est.value,
         "lower": iv.lower,

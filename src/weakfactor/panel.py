@@ -127,7 +127,10 @@ def ls_estimator(
     Alternating minimization: the A-step is a truncated SVD of Y - X beta,
     the beta-step is scalar least squares on the residual.  The objective is
     monotonically nonincreasing; iteration stops when its relative decrease
-    falls below `tol`.
+    falls below `tol`, a test invariant to scaling X and Y together
+    (a zero objective stops at once).  An X whose sum of squares is zero or
+    overflows, or a Y whose sum of squares overflows, raises
+    DegenerateDesignError before the first iteration.
 
     Returns (beta_ls, a_hat, converged).
     """
@@ -139,13 +142,15 @@ def ls_estimator(
         raise ValueError("rank must be below min(n, T)")
     with np.errstate(over="ignore"):  # refused below
         x_ss = float(np.sum(x * x))
+        obj = float(np.sum(y * y))  # the objective at beta = 0, A = 0
     if not 0.0 < x_ss < math.inf:
         raise DegenerateDesignError(
             f"sum of X^2 = {x_ss:g}: X is identically zero or the sum overflowed")
+    if obj == math.inf:
+        raise DegenerateDesignError("sum of Y^2 overflowed")
 
     beta = 0.0
     a = np.zeros_like(y)
-    obj = float(np.sum((y - x * beta) ** 2))
     converged = False
     for _ in range(max_iter):
         # a's buffer holds Y - X beta for the A-step, then the new A.  Y - A
@@ -161,7 +166,7 @@ def ls_estimator(
         resid -= np.multiply(x, beta, out=work)
         new_obj = float(np.sum(np.square(resid, out=resid)))
         del resid, work
-        if obj - new_obj <= tol * max(obj, 1.0):
+        if obj - new_obj <= tol * obj:
             converged = True
             obj = new_obj
             break

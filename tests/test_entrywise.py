@@ -18,7 +18,6 @@ from weakfactor.entrywise import (
     calibrate_c0,
     _ratio_khat,
     estimate_m11,
-    adaptive_ci_from_estimate,
     naive_pretest_ci,
     spectral_threshold,
 )
@@ -154,12 +153,11 @@ def test_adaptive_ci_branches_and_width():
     n = t = 20
     kappa_bar = 1.0
     weak = RNG.standard_normal((n, t))
-    iv = adaptive_ci(weak, kappa_bar)
-    assert (iv.lower, iv.upper) == (-kappa_bar, kappa_bar)
+    est, iv = adaptive_ci(weak, kappa_bar)
+    assert est.truncated and (iv.lower, iv.upper) == (-kappa_bar, kappa_bar)
 
     strong = 1000.0 * random_rank_one(n, t)
-    est = adaptive_estimate_m11(strong, kappa_bar)
-    iv = adaptive_ci(strong, kappa_bar, c0=4.0)
+    est, iv = adaptive_ci(strong, kappa_bar, c0=4.0)
     expected = 4.0 * min(math.sqrt(n + t) / est.spectral_stat, 1.0)
     assert iv.width == pytest.approx(expected, rel=1e-12)
     assert iv.contains(est.value)
@@ -167,12 +165,11 @@ def test_adaptive_ci_branches_and_width():
     assert iv.width <= max(4.0, 2 * kappa_bar) + 1e-12
 
     stronger = 10.0 * strong
-    assert adaptive_ci(stronger, kappa_bar, c0=4.0).width < iv.width
+    assert adaptive_ci(stronger, kappa_bar, c0=4.0)[1].width < iv.width
 
-    # The interval around a computed estimate is the same interval, bitwise.
+    # The interval comes with the adaptive estimate it is centered on.
     for x in (weak, strong):
-        est = adaptive_estimate_m11(x, kappa_bar)
-        assert adaptive_ci_from_estimate(est, n, t, kappa_bar, 4.0) == adaptive_ci(x, kappa_bar, 4.0)
+        assert adaptive_ci(x, kappa_bar, 4.0)[0] == adaptive_estimate_m11(x, kappa_bar)
 
     with pytest.raises(ValueError):
         adaptive_ci(strong, kappa_bar, c0=0.0)
@@ -268,7 +265,7 @@ def test_screened_call_makes_no_decomposition(monkeypatch):
     est = adaptive_estimate_m11(weak, kappa_bar=1.0)
     assert est.truncated
     assert est.spectral_stat == pytest.approx(np.linalg.norm(zero_entry_11(weak)), rel=1e-13)
-    assert adaptive_ci(weak, kappa_bar=1.0) == Interval(-1.0, 1.0)
+    assert adaptive_ci(weak, kappa_bar=1.0) == (est, Interval(-1.0, 1.0))
     with pytest.raises(AssertionError, match="decomposed"):
         adaptive_estimate_m11(1000.0 * random_rank_one(100, 100), kappa_bar=1.0)
 

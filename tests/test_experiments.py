@@ -79,7 +79,7 @@ def test_registered_names_resolve():
     for name in ("rank_one_entrywise", "perturbation_pair_arm", "panel_config",
                  "panel_pair_arm", "testing_pair_arm", "pure_noise"):
         get_generator(name)
-    for name in ("pca_point", "adaptive_point", "adaptive_interval",
+    for name in ("pca_point", "adaptive_interval",
                  "naive_interval", "panel_trace", "panel_ci_star",
                  "lr_stat", "spectral_norm"):
         get_procedure(name)
@@ -343,6 +343,25 @@ def test_calibrate_c0_identical_at_one_and_two_workers_above_threshold():
         c0 = [entrywise.calibrate_c0(n, n, 1.0, [float(n)], reps=3, seed=1, workers=workers)
               for workers in (1, 2)]
     assert c0[0] == c0[1] != entrywise.DEFAULT_C0
+
+
+def test_calibrate_c0_matches_the_width_formula_it_reads():
+    # The reference applies the adaptive interval's width rule itself: each
+    # non-truncated replication requires 2 |m_hat - m| / min{sqrt(n + T) /
+    # sigma_1, 1}, and the constant is the (1 - alpha) quantile of those.
+    n, reps, seed, alpha = 1000, 2, 1, 0.05
+    inst = ex.flat_rank_one_instance(n, n, float(n))
+    needs = []
+    for rep in range(reps):
+        est = entrywise.adaptive_estimate_m11(
+            sample_observation(inst, replication_rng(seed, 0, rep)), 1.0)
+        if not est.truncated:
+            width_at_one = min(math.sqrt(2 * n) / est.spectral_stat, 1.0)
+            needs.append(2.0 * abs(est.value - inst.mean[0, 0]) / width_at_one)
+    assert needs  # at least one replication calibrated
+    reference = float(np.quantile(needs, 1.0 - alpha))
+    c0 = entrywise.calibrate_c0(n, n, 1.0, [float(n)], alpha=alpha, reps=reps, seed=seed)
+    assert c0 == pytest.approx(reference, rel=1e-13)
 
 
 def test_noise_norm_check_small():

@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from weakfactor import linalg
 from weakfactor.entrywise import (
+    adaptive_ci,
     adaptive_estimate_m11,
     estimate_m11,
     naive_pretest_ci,
@@ -404,6 +405,7 @@ def test_public_kernels_refuse_invalid_input(name, kind, message):
 _ESTIMATORS = {
     "estimate_m11": (estimate_m11, 1),
     "adaptive_estimate_m11": (lambda x: adaptive_estimate_m11(x, kappa_bar=1.0), 1),
+    "adaptive_ci": (lambda x: adaptive_ci(x, kappa_bar=1.0), 1),
     "naive_pretest_ci": (naive_pretest_ci, 1),
     "estimate_beta-r0=1-r1=1": (lambda x, y: estimate_beta(x, y, r0=1, r1=1), 2),
     "estimate_beta-r0=0-r1=1": (lambda x, y: estimate_beta(x, y, r0=0, r1=1), 2),
@@ -458,7 +460,7 @@ def test_public_estimators_refuse_data_that_are_not_2d(name, kind, monkeypatch):
     estimator, arity = _ESTIMATORS[name]
     data = [a.ravel() if kind == "1-D" else a[None] for a in _estimator_data()[:arity]]
     _refuse_decompositions(monkeypatch)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected a 2-D array"):
         estimator(*data)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weakfactor import panel
+from weakfactor import linalg, panel
 from weakfactor.adversarial import panel_shift_pair
 from weakfactor.experiments import panel_means
 from weakfactor.model import DEFAULT_SEED, PanelInstance, replication_rng, sample_panel
@@ -120,6 +120,21 @@ def test_overflowing_sums_are_refused(estimator):
         estimator(np.ldexp(x, 520), np.ldexp(y, 520))
 
 
+def test_ls_estimator_refuses_an_overflowing_y_before_decomposing(monkeypatch):
+    # X is unscaled, so only the sum of Y^2 overflows at 2^520.
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((10, 10))
+    y = 0.5 * x + rng.standard_normal((10, 10))
+    assert ls_estimator(x, np.ldexp(y, 500), rank=2)[2]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decomposed an overflowing Y")
+
+    monkeypatch.setattr(linalg, "_subset_eigh", refuse)
+    with pytest.raises(DegenerateDesignError, match="sum of Y\\^2 overflowed"):
+        ls_estimator(x, np.ldexp(y, 520), rank=2)
+
+
 def test_ls_estimator_objective_monotone():
     x = RNG.standard_normal((15, 15))
     y = np.outer(RNG.standard_normal(15), RNG.standard_normal(15)) + 0.7 * x
@@ -224,3 +239,34 @@ def test_estimate_beta_transpose_equivariant(n, t, seed, beta):
     b = estimate_beta(x.T, y.T, r0=1, r1=1)
     assert b.beta_hat == a.beta_hat and b.r_hat == a.r_hat
     assert b.flipped == (not a.flipped)
+
+
+# The null arm of panel-tradeoff at n = T = 20, whose draws the scale tests fit.
+_NULL_20 = panel_shift_pair(*panel_means(20, 20, 20.0, 200.0), 3.9).null_instance
+
+
+@given(rep=st.integers(0, 10**6), j=st.integers(-30, 30))
+@settings(max_examples=40, deadline=None)
+def test_ls_estimator_is_bitwise_scale_invariant_at_powers_of_two(rep, j):
+    # Scaling X and Y by 2^j scales every sum of squares by 4^j exactly, so
+    # the relative stopping test stops at the same iteration.
+    x, y = sample_panel(_NULL_20, replication_rng(3, 0, rep))
+    beta, _, converged = ls_estimator(x, y, rank=2)
+    beta_c, _, converged_c = ls_estimator(np.ldexp(x, j), np.ldexp(y, j), rank=2)
+    assert beta_c == beta and converged_c == converged
+
+
+@given(rep=st.integers(0, 10**6), c=st.sampled_from([1e-4, 1e4]))
+@settings(max_examples=20, deadline=None)
+def test_ls_estimator_is_scale_invariant(rep, c):
+    x, y = sample_panel(_NULL_20, replication_rng(3, 0, rep))
+    beta = ls_estimator(x, y, rank=2)[0]
+    assert abs(ls_estimator(c * x, c * y, rank=2)[0] - beta) <= 1e-12 * max(1.0, abs(beta))
+
+
+@given(rep=st.integers(0, 10**6), j=st.integers(-30, 30))
+@settings(max_examples=40, deadline=None)
+def test_estimate_beta_is_bitwise_scale_invariant_at_powers_of_two(rep, j):
+    x, y = sample_panel(_NULL_20, replication_rng(3, 0, rep))
+    beta_c = estimate_beta(np.ldexp(x, j), np.ldexp(y, j), r0=1, r1=1).beta_hat
+    assert beta_c == estimate_beta(x, y, r0=1, r1=1).beta_hat
