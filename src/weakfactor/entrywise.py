@@ -5,7 +5,8 @@ truncated variant, the adaptive confidence interval whose width tracks the
 observed signal strength, and the naive "pre-test then PCA" interval used as
 a negative control; the plug-in and the pre-test share one least-squares fit.
 The adaptive interval's rule lives in :func:`adaptive_ci` alone:
-:func:`calibrate_c0` runs the coverage procedure at C0 = 1 and reads the
+:func:`calibrate_c0` runs the coverage experiment's own spec at C0 = 1, on
+draws that a coverage run at the same seed does not read, and reads the
 constant from its widths.
 
 All estimators treat entry (1,1) of the data matrix as missing: they never
@@ -294,13 +295,21 @@ def calibrate_c0(
 ) -> float:
     """Smallest width constant reaching 1 - alpha coverage on a reference grid.
 
-    For each grid strength a flat rank-one instance with sigma_1 = tau is
-    sampled `reps` times through :func:`~weakfactor.montecarlo.run_experiment`,
-    which runs the coverage procedure, :func:`adaptive_ci`, at c0 = 1.  The
-    width is linear in c0, so each non-truncated replication requires
-    c0 = 2 |estimate - truth| / width to cover the truth; the calibrated
-    value is the largest (1 - alpha) quantile of those requirements across
-    the grid.
+    The calibration is the coverage run itself at c0 = 1: the spec that
+    :func:`~weakfactor.experiments.adaptive_coverage_spec` builds, on the
+    strengths `tau_grid`, sampled `reps` times per strength through
+    :func:`~weakfactor.montecarlo.run_experiment`.  The width of
+    :func:`adaptive_ci` is linear in c0, so each non-truncated replication
+    requires c0 = 2 |estimate - truth| / width to cover the truth; the
+    calibrated value is the largest (1 - alpha) quantile of those
+    requirements across the grid.
+
+    The draws are held out from a coverage run with master seed `seed`:
+    the calibration's master seed is the first 64-bit word of
+    ``np.random.SeedSequence(seed).generate_state(1, np.uint64)``.  Both
+    runs key their streams on (master seed, grid index, replication), so
+    calibrating on `seed` itself would reuse the coverage run's draws, and
+    calibrating on seed + 1 would reuse those of the run at seed + 1.
 
     When no replication lies above the detection threshold (at n = T = 100
     none does) nothing is calibrated: a DefaultC0Warning (a RuntimeWarning)
@@ -314,16 +323,8 @@ def calibrate_c0(
     # registers the generator and procedure that the spec names.
     from . import experiments
 
-    spec = experiments.ExperimentSpec(
-        name="calibrate-c0",
-        generator="rank_one_entrywise",
-        procedure="adaptive_interval",
-        replications=reps,
-        master_seed=seed,
-        grid=tuple({"n": n, "T": t, "tau": tau} for tau in tau_grid),
-        generator_params={"kappa": kappa},
-        procedure_params={"kappa_bar": kappa, "c0": 1.0},
-    )
+    held_out = int(np.random.SeedSequence(seed).generate_state(1, np.uint64)[0])
+    spec = experiments._coverage_spec("calibrate-c0", n, t, tau_grid, reps, held_out, kappa, 1.0)
     table = experiments.run_experiment(spec, workers)
     required = 0.0
     calibrated = 0

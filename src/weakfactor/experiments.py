@@ -6,6 +6,10 @@ and provides builder functions returning ready-to-run
 :class:`~weakfactor.montecarlo.ExperimentSpec` objects for each headline
 experiment (rate in strength, rate in size, adaptive coverage, the
 pre-test negative control, panel rates, and the panel coverage tradeoff).
+The plug-in rate family, the adaptive coverage family and the two-point
+grid are each declared once, in a private helper: both rate builders share
+one, and :func:`weakfactor.entrywise.calibrate_c0` runs the coverage
+builder's spec at C0 = 1.
 
 The likelihood-ratio power and noise-norm checks, like
 :func:`weakfactor.entrywise.calibrate_c0`, run as specs through
@@ -91,6 +95,8 @@ def spiked_rank_one_instance(
     when matching tau would push c above kappa (at tau = kappa sqrt(nT) the
     instance degenerates to the flat one).
     """
+    if n < 2:
+        raise ValueError(f"need n >= 2: the spike sits in row 1 of n rows, got n={n}")
     if not 0.0 < spike_frac < 1.0:
         raise ValueError("spike_frac must be in (0, 1)")
     if not 0 < tau <= kappa * math.sqrt(n * t):
@@ -276,7 +282,48 @@ def _proc_panel_ci_star(data, grid_point, params):
 
 
 # ---------------------------------------------------------------------------
-# Experiment builders.
+# Experiment builders.  Each family's generator, procedure and parameter
+# names are declared once, in the three helpers below.
+
+
+def _rate_spec(
+    name: str, grid, reps: int, seed: int, kappa: float, spike_frac: float
+) -> ExperimentSpec:
+    """The plug-in's error on spiked rank-one instances over `grid`."""
+    return ExperimentSpec(
+        name=name,
+        generator="rank_one_entrywise",
+        procedure="pca_point",
+        replications=reps,
+        master_seed=seed,
+        grid=grid,
+        generator_params={"kappa": kappa, "spike_frac": spike_frac},
+    )
+
+
+def _coverage_spec(
+    name: str, n: int, t: int, taus, reps: int, seed: int, kappa: float, c0: float
+) -> ExperimentSpec:
+    """The adaptive interval's coverage on flat rank-one instances, one per tau.
+
+    :func:`adaptive_coverage_spec` runs it, and
+    :func:`weakfactor.entrywise.calibrate_c0` runs it at c0 = 1.
+    """
+    return ExperimentSpec(
+        name=name,
+        generator="rank_one_entrywise",
+        procedure="adaptive_interval",
+        replications=reps,
+        master_seed=seed,
+        grid=tuple({"n": n, "T": t, "tau": tau} for tau in taus),
+        generator_params={"kappa": kappa},
+        procedure_params={"kappa_bar": kappa, "c0": c0},
+    )
+
+
+def _arms(n: int, t: int, null: str = "null") -> tuple:
+    """The grid of a two-point pair: the `null` arm, then the alternative."""
+    return ({"n": n, "T": t, "arm": null}, {"n": n, "T": t, "arm": "alt"})
 
 
 def rate_in_tau_spec(
@@ -292,15 +339,7 @@ def rate_in_tau_spec(
     grid = tuple(
         {"n": n, "T": t, "tau": f * math.sqrt(n * t)} for f in tau_fracs
     )
-    return ExperimentSpec(
-        name="entrywise-rate-tau",
-        generator="rank_one_entrywise",
-        procedure="pca_point",
-        replications=reps,
-        master_seed=seed,
-        grid=grid,
-        generator_params={"kappa": kappa, "spike_frac": spike_frac},
-    )
+    return _rate_spec("entrywise-rate-tau", grid, reps, seed, kappa, spike_frac)
 
 
 def rate_in_size_spec(
@@ -318,15 +357,7 @@ def rate_in_size_spec(
     grid = tuple(
         {"n": m, "T": m, "tau": tau_frac * m} for m in sizes
     )
-    return ExperimentSpec(
-        name="entrywise-rate-size",
-        generator="rank_one_entrywise",
-        procedure="pca_point",
-        replications=reps,
-        master_seed=seed,
-        grid=grid,
-        generator_params={"kappa": kappa, "spike_frac": spike_frac},
-    )
+    return _rate_spec("entrywise-rate-size", grid, reps, seed, kappa, spike_frac)
 
 
 def adaptive_coverage_spec(
@@ -344,20 +375,9 @@ def adaptive_coverage_spec(
     detection threshold; there the interval is the trivial one and coverage
     is exact.
     """
-    grid = [
-        {"n": n, "T": t, "tau": f * math.sqrt(n * t)} for f in tau_fracs
-    ]
-    grid.append({"n": n, "T": t, "tau": 2.0 * math.sqrt(n + t)})
-    return ExperimentSpec(
-        name="entrywise-coverage",
-        generator="rank_one_entrywise",
-        procedure="adaptive_interval",
-        replications=reps,
-        master_seed=seed,
-        grid=tuple(grid),
-        generator_params={"kappa": kappa},
-        procedure_params={"kappa_bar": kappa, "c0": c0},
-    )
+    taus = [f * math.sqrt(n * t) for f in tau_fracs]
+    taus.append(2.0 * math.sqrt(n + t))
+    return _coverage_spec("entrywise-coverage", n, t, taus, reps, seed, kappa, c0)
 
 
 def pretest_control_spec(
@@ -376,17 +396,13 @@ def pretest_control_spec(
     grid point 1 the alternative whose observed-data law is identical but
     whose (1,1) entry moved; a shrinking-width interval must miss it.
     """
-    grid = (
-        {"n": n, "T": t, "arm": "base"},
-        {"n": n, "T": t, "arm": "alt"},
-    )
     return ExperimentSpec(
         name="adaptivity-demo",
         generator="perturbation_pair_arm",
         procedure="naive_interval",
         replications=reps,
         master_seed=seed,
-        grid=grid,
+        grid=_arms(n, t, null="base"),
         generator_params={"kappa": kappa, "eta": eta, "tau2": tau2},
         procedure_params={"alpha": alpha},
     )
@@ -439,17 +455,13 @@ def panel_tradeoff_spec(
     Grid point 0 is the strong-factor null (nominal coverage), grid point 1
     the KL-close alternative where the fixed width forces undercoverage.
     """
-    grid = (
-        {"n": n, "T": t, "arm": "null"},
-        {"n": n, "T": t, "arm": "alt"},
-    )
     return ExperimentSpec(
         name="panel-tradeoff",
         generator="panel_pair_arm",
         procedure="panel_ci_star",
         replications=reps,
         master_seed=seed,
-        grid=grid,
+        grid=_arms(n, t),
         generator_params={"kappa2": kappa2, "c": c},
         procedure_params={"kappa2": kappa2},
     )
@@ -484,7 +496,7 @@ def lr_power_check(
         procedure="lr_stat",
         replications=reps,
         master_seed=seed,
-        grid=({"n": n, "T": t, "arm": "null"}, {"n": n, "T": t, "arm": "alt"}),
+        grid=_arms(n, t),
         generator_params={"tau": tau, "kappa": kappa, "alpha": alpha},
     )
     # Validating the pair runs dense linear algebra outside the engine; cap

@@ -434,6 +434,33 @@ def test_calibrate_labels_a_calibrated_value_equal_to_the_default(monkeypatch, c
     assert "calibrated C0 = 8.000\n" in out and "(default" not in out
 
 
+def test_calibrate_reads_draws_the_coverage_run_does_not(monkeypatch):
+    # Both runs key their streams on (master seed, grid index, rep): a
+    # calibration on the coverage run's own seed would read its draws.
+    keys = {"calibration": set(), "coverage": set()}
+    phase = ["coverage"]
+    replication_rng, calibrate_c0 = montecarlo.replication_rng, cli.calibrate_c0
+
+    def recording_rng(*key):
+        keys[phase[0]].add(key)
+        return replication_rng(*key)
+
+    def calibrating(*args, **kwargs):
+        phase[0] = "calibration"
+        try:
+            return calibrate_c0(*args, **kwargs)
+        finally:
+            phase[0] = "coverage"
+
+    monkeypatch.setattr(montecarlo, "replication_rng", recording_rng)
+    monkeypatch.setattr(cli, "calibrate_c0", calibrating)
+    with pytest.warns(RuntimeWarning, match="calibrated 0 of 6 replications"):
+        assert cli.main(["entrywise-coverage", "--calibrate", "--n", "20", "--T", "20",
+                         "--reps", "2"]) == 0
+    assert len(keys["calibration"]) == 6 and len(keys["coverage"]) == 8
+    assert keys["calibration"].isdisjoint(keys["coverage"])
+
+
 # Calibration chooses C0, so a C0 given with it, from the flag or from the
 # config file and equal to the default or not, is refused before anything runs.
 @pytest.mark.parametrize("argv, ini", [

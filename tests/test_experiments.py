@@ -59,6 +59,14 @@ def test_spiked_instance_caps():
         ex.spiked_rank_one_instance(50, 50, tau=5.0, spike_frac=1.5)
 
 
+def test_spiked_instance_refuses_one_row_and_accepts_one_column():
+    # n = 1 leaves no rows 2..n to carry the rest of the loading norm.
+    with pytest.raises(ValueError, match="n=1"):
+        ex.spiked_rank_one_instance(1, 10, 1.0)
+    inst = ex.spiked_rank_one_instance(5, 1, 1.0)
+    assert np.linalg.norm(inst.mean) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_orthogonal_unit_pair():
     for m in (10, 50, 101):
         a, c = ex.orthogonal_unit_pair(m)
@@ -349,12 +357,14 @@ def test_calibrate_c0_matches_the_width_formula_it_reads():
     # The reference applies the adaptive interval's width rule itself: each
     # non-truncated replication requires 2 |m_hat - m| / min{sqrt(n + T) /
     # sigma_1, 1}, and the constant is the (1 - alpha) quantile of those.
+    # The draws come from the held-out master seed the docstring states.
     n, reps, seed, alpha = 1000, 2, 1, 0.05
+    held_out = int(np.random.SeedSequence(seed).generate_state(1, np.uint64)[0])
     inst = ex.flat_rank_one_instance(n, n, float(n))
     needs = []
     for rep in range(reps):
         est = entrywise.adaptive_estimate_m11(
-            sample_observation(inst, replication_rng(seed, 0, rep)), 1.0)
+            sample_observation(inst, replication_rng(held_out, 0, rep)), 1.0)
         if not est.truncated:
             width_at_one = min(math.sqrt(2 * n) / est.spectral_stat, 1.0)
             needs.append(2.0 * abs(est.value - inst.mean[0, 0]) / width_at_one)
