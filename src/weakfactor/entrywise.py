@@ -136,7 +136,7 @@ def _fit_entry_11(x: np.ndarray, lhat: np.ndarray) -> tuple[float, np.ndarray]:
 
 def spectral_threshold(kappa_bar: float, n: int, t: int) -> float:
     """Signal-detection cutoff 4 max{sqrt(10) kappa_bar, 2} sqrt(3 (n + T))."""
-    if kappa_bar <= 0:
+    if not kappa_bar > 0:
         raise ValueError("kappa_bar must be positive")
     return 4.0 * max(math.sqrt(10.0) * kappa_bar, 2.0) * math.sqrt(3.0 * (n + t))
 
@@ -211,7 +211,7 @@ def adaptive_ci(
     rounding allowance, as at every n = T below about 960, the trivial
     interval costs one pass over the data and no decomposition.
     """
-    if c0 <= 0:
+    if not c0 > 0:
         raise ValueError("c0 must be positive")
     est = adaptive_estimate_m11(x, kappa_bar)
     if est.truncated:
@@ -318,7 +318,12 @@ def calibrate_c0(
     of :func:`adaptive_estimate_m11` truncates each replication in one pass;
     the non-truncated replications, which set the result, carry sigma_1
     itself, so the screen changes no calibrated value.
+
+    An `alpha` outside (0, 1) is refused with ValueError before any
+    replication.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
     # Imported here because experiments imports this module; it also
     # registers the generator and procedure that the spec names.
     from . import experiments

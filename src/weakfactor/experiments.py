@@ -136,55 +136,46 @@ def panel_means(
 
 
 # ---------------------------------------------------------------------------
-# Registered generators.  Signature: (grid_point, params) -> (truth, draw),
-# where draw(rng) -> data samples from the instance built once per grid point.
-# params carry every key that the spec's builder sets; no defaults live here.
+# Registered generators, called as gen(**grid_point, **generator_params) ->
+# (truth, draw), where draw(rng) -> data samples from the instance built once
+# per grid point.  Each plugin's signature names the keys it reads; no
+# defaults live here, except that an absent spike_frac selects the flat
+# instance.
 
 
-def _arm(grid_point, null: str = "null") -> str:
-    """The field of a two-point pair holding the instance the arm names.
+def _arm(arm: str, null: str = "null") -> str:
+    """The field of a two-point pair holding the instance `arm` names.
 
     Called before the pair is built, so a bad arm costs no decomposition.
     """
-    arm = grid_point["arm"]
     if arm not in (null, "alt"):
         raise ValueError(f"arm must be {null!r} or 'alt', got {arm!r}")
     return "null_instance" if arm == null else "alt_instance"
 
 
 @register_generator("rank_one_entrywise")
-def _gen_rank_one(grid_point, params):
-    n, t, tau = int(grid_point["n"]), int(grid_point["T"]), float(grid_point["tau"])
-    kappa = float(params["kappa"])
-    spike_frac = params.get("spike_frac")
+def _gen_rank_one(n, T, tau, kappa, spike_frac=None):
     if spike_frac is None:
-        inst = flat_rank_one_instance(n, t, tau, kappa)
+        inst = flat_rank_one_instance(n, T, tau, kappa)
     else:
-        inst = spiked_rank_one_instance(n, t, tau, kappa, float(spike_frac))
+        inst = spiked_rank_one_instance(n, T, tau, kappa, spike_frac)
     return inst.mean[0, 0], partial(sample_observation, inst)
 
 
 @register_generator("perturbation_pair_arm")
-def _gen_perturbation_arm(grid_point, params):
-    arm = _arm(grid_point, null="base")
-    n, t = int(grid_point["n"]), int(grid_point["T"])
-    kappa = float(params["kappa"])
-    eta = float(params["eta"])
-    tau0 = math.sqrt(n * t) / 24.0
-    tau2 = float(params["tau2"])
-    base = FactorInstance(np.full((n, t), kappa * (1.0 - eta)), kappa)
-    pair = entry_perturbation_pair(base, eta=eta, tau0=tau0, tau2=tau2)
-    inst = getattr(pair, arm)
+def _gen_perturbation_arm(n, T, arm, kappa, eta, tau2):
+    field = _arm(arm, null="base")
+    base = FactorInstance(np.full((n, T), kappa * (1.0 - eta)), kappa)
+    pair = entry_perturbation_pair(base, eta=eta, tau0=math.sqrt(n * T) / 24.0, tau2=tau2)
+    inst = getattr(pair, field)
     return inst.mean[0, 0], partial(sample_observation, inst)
 
 
 @register_generator("panel_config")
-def _gen_panel(grid_point, params):
-    n, t = int(grid_point["n"]), int(grid_point["T"])
-    beta = float(params["beta"])
-    sigma_m = math.sqrt(n + t) if params["weak_m"] else math.sqrt(n * t)
-    sigma_d = math.sqrt(n + t) if params["weak_d"] else math.sqrt(n * t)
-    m, d = panel_means(n, t, sigma_m, sigma_d)
+def _gen_panel(n, T, beta, weak_m, weak_d):
+    sigma_m = math.sqrt(n + T) if weak_m else math.sqrt(n * T)
+    sigma_d = math.sqrt(n + T) if weak_d else math.sqrt(n * T)
+    m, d = panel_means(n, T, sigma_m, sigma_d)
     inst = PanelInstance(
         mean=m, regressor_mean=d, sigma_eps=1.0, sigma_u=1.0, beta=beta,
         r0=1, r1=1, kappa=10.0,
@@ -193,47 +184,47 @@ def _gen_panel(grid_point, params):
 
 
 @register_generator("panel_pair_arm")
-def _gen_panel_arm(grid_point, params):
-    arm = _arm(grid_point)
-    n, t = int(grid_point["n"]), int(grid_point["T"])
-    kappa2 = float(params["kappa2"])
-    c = float(params["c"])
-    m1, d1 = panel_means(n, t, math.sqrt(n * t), kappa2 * math.sqrt(n * t))
+def _gen_panel_arm(n, T, arm, kappa2, c):
+    field = _arm(arm)
+    m1, d1 = panel_means(n, T, math.sqrt(n * T), kappa2 * math.sqrt(n * T))
     pair = panel_shift_pair(m1, d1, c)
-    inst = getattr(pair, arm)
+    inst = getattr(pair, field)
     return inst.beta, partial(sample_panel, inst)
 
 
 @register_generator("testing_pair_arm")
-def _gen_testing_arm(grid_point, params):
-    arm = _arm(grid_point)
-    n, t = int(grid_point["n"]), int(grid_point["T"])
-    pair = rank_one_testing_pair(n, t, params["tau"], params["kappa"], params["alpha"])
-    inst = getattr(pair, arm)
+def _gen_testing_arm(n, T, arm, tau, kappa, alpha):
+    field = _arm(arm)
+    pair = rank_one_testing_pair(n, T, tau, kappa, alpha)
+    inst = getattr(pair, field)
     # Draws carry both means, which the likelihood-ratio statistic needs.
     null_m, alt_m = pair.null_instance.mean, pair.alt_instance.mean
     return inst.mean[0, 0], lambda rng: (sample_observation(inst, rng), null_m, alt_m)
 
 
 @register_generator("pure_noise")
-def _gen_pure_noise(grid_point, params):
-    shape = (int(grid_point["n"]), int(grid_point["T"]))
-    return 0.0, lambda rng: rng.standard_normal(shape)
+def _gen_pure_noise(n, T):
+    return 0.0, lambda rng: rng.standard_normal((n, T))
 
 
 # ---------------------------------------------------------------------------
-# Registered procedures.  Signature: (data, grid_point, params) -> result dict,
-# with params as for the generators.
+# Registered procedures, called as proc(data, **procedure_params) -> result
+# dict; each plugin's signature names the keys it reads.
+
+
+def _midpoint(iv) -> dict:
+    """The result of an interval procedure whose estimate is its midpoint."""
+    return {"estimate": 0.5 * (iv.lower + iv.upper), "lower": iv.lower, "upper": iv.upper}
 
 
 @register_procedure("pca_point")
-def _proc_pca(data, grid_point, params):
+def _proc_pca(data):
     return {"estimate": estimate_m11(data)}
 
 
 @register_procedure("adaptive_interval")
-def _proc_adaptive_ci(data, grid_point, params):
-    est, iv = adaptive_ci(data, float(params["kappa_bar"]), float(params["c0"]))
+def _proc_adaptive_ci(data, kappa_bar, c0):
+    est, iv = adaptive_ci(data, kappa_bar, c0)
     return {
         "estimate": est.value,
         "lower": iv.lower,
@@ -243,42 +234,32 @@ def _proc_adaptive_ci(data, grid_point, params):
 
 
 @register_procedure("naive_interval")
-def _proc_naive_ci(data, grid_point, params):
-    iv = naive_pretest_ci(data, alpha=float(params["alpha"]))
-    return {
-        "estimate": 0.5 * (iv.lower + iv.upper),
-        "lower": iv.lower,
-        "upper": iv.upper,
-    }
+def _proc_naive_ci(data, alpha):
+    return _midpoint(naive_pretest_ci(data, alpha=alpha))
 
 
 @register_procedure("lr_stat")
-def _proc_lr_stat(data, grid_point, params):
+def _proc_lr_stat(data):
     x, null_m, alt_m = data
     return {"estimate": likelihood_ratio_stat(x, null_m, alt_m)}
 
 
 @register_procedure("spectral_norm")
-def _proc_spectral_norm(data, grid_point, params):
+def _proc_spectral_norm(data):
     return {"estimate": spectral_norm(data)}
 
 
 @register_procedure("panel_trace")
-def _proc_panel_trace(data, grid_point, params):
+def _proc_panel_trace(data, r0, r1):
     x, y = data
-    est = estimate_beta(x, y, int(params["r0"]), int(params["r1"]))
+    est = estimate_beta(x, y, r0, r1)
     return {"estimate": est.beta_hat, "r_hat": est.r_hat}
 
 
 @register_procedure("panel_ci_star")
-def _proc_panel_ci_star(data, grid_point, params):
+def _proc_panel_ci_star(data, kappa2):
     x, y = data
-    iv = ci_star(x, y, float(params["kappa2"]))
-    return {
-        "estimate": 0.5 * (iv.lower + iv.upper),
-        "lower": iv.lower,
-        "upper": iv.upper,
-    }
+    return _midpoint(ci_star(x, y, kappa2))
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +514,13 @@ def noise_norm_check(
     seed: int = DEFAULT_SEED,
     workers: int = 1,
 ) -> dict:
-    """Frequency of ||noise|| <= factor * sqrt(n + T) for iid Gaussian noise."""
+    """Frequency of ||noise|| <= factor * sqrt(n + T) for iid Gaussian noise.
+
+    A `factor` that is not positive is refused with ValueError before any
+    replication.
+    """
+    if not factor > 0:
+        raise ValueError("factor must be positive")
     bound = factor * math.sqrt(n + t)
     spec = ExperimentSpec(
         name="noise-norm",

@@ -48,7 +48,7 @@ class FactorInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
-        if self.kappa <= 0:
+        if not self.kappa > 0:
             raise ValueError("kappa must be positive")
         if max_abs_entry(self.mean) > self.kappa * (1 + 1e-12):
             raise ValueError(
@@ -93,7 +93,7 @@ class PanelInstance:
         for name, sig in (("sigma_eps", self.sigma_eps), ("sigma_u", self.sigma_u)):
             if not (1.0 / self.kappa <= sig <= self.kappa):
                 raise ValueError(f"{name}={sig:g} outside [1/kappa, kappa]")
-        if abs(self.beta) > self.kappa:
+        if not abs(self.beta) <= self.kappa:
             raise ValueError("|beta| exceeds kappa")
 
     def _shifted(self, mean, beta: float) -> PanelInstance:

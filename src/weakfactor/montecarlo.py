@@ -40,11 +40,16 @@ __all__ = [
     "write_json_summary",
 ]
 
-# A generator maps (grid_point, params) -> (truth, draw): it builds the grid
-# point's ground truth once, and draw(rng) -> data samples one replication
-# from it.  A procedure maps (data, grid_point, params) -> a result dict with
-# at least "estimate", optionally "lower"/"upper" for interval procedures,
-# plus free-form extras.
+# Plugins are called with the keywords they read.  A generator is called as
+# gen(**grid_point, **spec.generator_params) -> (truth, draw): it builds the
+# grid point's ground truth once, and draw(rng) -> data samples one
+# replication from it.  A procedure is called as
+# proc(data, **spec.procedure_params) -> a result dict with at least
+# "estimate", optionally "lower"/"upper" for interval procedures, plus
+# free-form extras.  Each plugin's signature names the keys it reads, so a
+# key that the plugin does not read fails the call: a generator's raises
+# InvalidGridPoint before any replication, a procedure's makes every
+# replication an error row.
 _GENERATORS: dict[str, Callable] = {}
 _PROCEDURES: dict[str, Callable] = {}
 
@@ -152,7 +157,7 @@ def _run_cell(spec: ExperimentSpec, proc, points, gi: int, rep: int) -> Replicat
     truth, draw = points[gi]
     try:
         data = draw(replication_rng(spec.master_seed, gi, rep))
-        result = proc(data, spec.grid[gi], spec.procedure_params)
+        result = proc(data, **spec.procedure_params)
         estimate = result.get("estimate")
         lower, upper = result.get("lower"), result.get("upper")
         for name, value in (("estimate", estimate), ("lower", lower), ("upper", upper)):
@@ -223,7 +228,7 @@ def build_grid(spec: ExperimentSpec) -> list:
     with single_blas_thread():
         for gi, grid_point in enumerate(spec.grid):
             try:
-                points.append(gen(grid_point, spec.generator_params))
+                points.append(gen(**grid_point, **spec.generator_params))
             except Exception as exc:
                 raise InvalidGridPoint(f"{spec.name}: grid point {gi} {grid_point} "
                                        f"cannot be built: {type(exc).__name__}: {exc}") from exc

@@ -208,7 +208,10 @@ def test_experiment_failure_exit_code(capsys, monkeypatch):
     # n = T = 3 the least-squares slope is not identified.
     (["panel-tradeoff", "--n", "2", "--T", "2"], 0),
     (["panel-tradeoff", "--n", "3", "--T", "3"], 0),
-], ids=["entrywise-coverage", "lower-bound-check", "panel-tradeoff", "panel-tradeoff-n3"])
+    # A NaN slope fails |beta| <= kappa.
+    (["panel-rate", "--panel-config", "strong", "--beta", "nan"], 0),
+], ids=["entrywise-coverage", "lower-bound-check", "panel-tradeoff", "panel-tradeoff-n3",
+        "panel-rate-beta-nan"])
 def test_invalid_grid_point_exit_code(argv, grid_point, capsys, monkeypatch):
     _assert_invalid_grid_point(argv, grid_point, capsys, monkeypatch)
 
@@ -216,7 +219,7 @@ def test_invalid_grid_point_exit_code(argv, grid_point, capsys, monkeypatch):
 def test_error_rows_abort_exit_code(capsys, monkeypatch):
     # More than 10% of a grid point's replications raising is an experiment
     # failure, not invalid input.
-    def failing(data, grid_point, params):
+    def failing(data):
         raise FloatingPointError("no estimate")
 
     monkeypatch.setitem(montecarlo._PROCEDURES, "pca_point", failing)

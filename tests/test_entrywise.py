@@ -132,6 +132,8 @@ def test_spectral_threshold_reference_value():
     assert spectral_threshold(0.1, 50, 50) == pytest.approx(8 * math.sqrt(300), rel=1e-12)
     with pytest.raises(ValueError):
         spectral_threshold(0.0, 50, 50)
+    with pytest.raises(ValueError, match="kappa_bar must be positive"):
+        spectral_threshold(math.nan, 50, 50)
 
 
 def test_adaptive_truncation_logic():
@@ -174,6 +176,10 @@ def test_adaptive_ci_branches_and_width():
 
     with pytest.raises(ValueError):
         adaptive_ci(strong, kappa_bar, c0=0.0)
+    # A NaN c0 is refused on the truncated branch too, where the width
+    # never reads it.
+    with pytest.raises(ValueError, match="c0 must be positive"):
+        adaptive_ci(weak, kappa_bar, c0=math.nan)
 
 
 def _adaptive_unscreened(x, kappa_bar):

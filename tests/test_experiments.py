@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import os
 import tempfile
@@ -22,6 +24,7 @@ from weakfactor.model import (
 from weakfactor.montecarlo import (
     ExperimentError,
     ExperimentSpec,
+    InvalidGridPoint,
     get_generator,
     get_procedure,
     run_experiment,
@@ -93,23 +96,81 @@ def test_registered_names_resolve():
         get_procedure(name)
 
 
+BUILDERS = {
+    "rate_in_tau": ex.rate_in_tau_spec,
+    "rate_in_size": ex.rate_in_size_spec,
+    "adaptive_coverage": ex.adaptive_coverage_spec,
+    "pretest_control": ex.pretest_control_spec,
+    "panel_rate": ex.panel_rate_spec,
+    "panel_tradeoff": ex.panel_tradeoff_spec,
+}
+
+
+class _Captured(Exception):
+    pass
+
+
+def _spec_of(source, monkeypatch):
+    """The spec `source` returns, or the one it hands to run_experiment."""
+    specs = []
+
+    def capture(spec, workers=1):
+        specs.append(spec)
+        raise _Captured
+
+    monkeypatch.setattr(ex, "run_experiment", capture)
+    try:
+        return source()
+    except _Captured:
+        return specs[0]
+
+
+# The engine calls gen(**grid_point, **generator_params) and
+# proc(data, **procedure_params): every spec the package builds, at the
+# builders' and checks' defaults, binds to its plugins' signatures.
+@pytest.mark.parametrize("source", [
+    *BUILDERS.values(),
+    ex.lr_power_check,
+    ex.noise_norm_check,
+    lambda: entrywise.calibrate_c0(100, 100, 1.0, [10.0, 50.0]),
+], ids=[*BUILDERS, "lr_power_check", "noise_norm_check", "calibrate_c0"])
+def test_every_spec_binds_to_its_plugins_by_keyword(source, monkeypatch):
+    spec = _spec_of(source, monkeypatch)
+    gen = inspect.signature(get_generator(spec.generator))
+    proc = inspect.signature(get_procedure(spec.procedure))
+    for gp in spec.grid:
+        gen.bind(**gp, **spec.generator_params)
+    proc.bind(None, **spec.procedure_params)
+
+
+@pytest.mark.parametrize("builder", BUILDERS.values(), ids=BUILDERS)
+def test_a_generator_param_no_generator_reads_is_refused(builder, monkeypatch):
+    spec = builder(reps=2)
+    spec = dataclasses.replace(spec, generator_params={**spec.generator_params, "bogus": 1.0})
+    draws = []
+    monkeypatch.setattr(montecarlo, "replication_rng", lambda *key: draws.append(key))
+    with pytest.raises(InvalidGridPoint, match="grid point 0 .*unexpected keyword .*'bogus'"):
+        run_experiment(spec)
+    assert draws == []
+
+
 def test_generator_outputs():
     rng = replication_rng(1, 0, 0)
     truth, draw = get_generator("rank_one_entrywise")(
-        {"n": 20, "T": 20, "tau": 10.0}, {"kappa": 1.0, "spike_frac": 0.75}
+        n=20, T=20, tau=10.0, kappa=1.0, spike_frac=0.75
     )
     assert draw(rng).shape == (20, 20)
     assert 0.0 < truth <= 1.0
 
     truth, draw = get_generator("panel_config")(
-        {"n": 10, "T": 12}, {"beta": 0.5, "weak_m": False, "weak_d": False}
+        n=10, T=12, beta=0.5, weak_m=False, weak_d=False
     )
     x, y = draw(rng)
     assert truth == 0.5 and x.shape == (10, 12) and y.shape == (10, 12)
 
     params = {"kappa2": 10.0, "c": 3.9}
-    t_null, _ = get_generator("panel_pair_arm")({"n": 10, "T": 10, "arm": "null"}, params)
-    t_alt, _ = get_generator("panel_pair_arm")({"n": 10, "T": 10, "arm": "alt"}, params)
+    t_null, _ = get_generator("panel_pair_arm")(n=10, T=10, arm="null", **params)
+    t_alt, _ = get_generator("panel_pair_arm")(n=10, T=10, arm="alt", **params)
     assert t_null == 0.0 and t_alt == pytest.approx(3.9 / 10.0)
 
 
@@ -163,7 +224,7 @@ def test_rows_match_a_loop_that_rebuilds_every_replication(spec, build):
         for rep in range(spec.replications):
             truth, inst, sample = build(gp, spec.generator_params)
             data = sample(inst, replication_rng(spec.master_seed, gi, rep))
-            result = proc(data, gp, spec.procedure_params)
+            result = proc(data, **spec.procedure_params)
             covered = width = None
             if "lower" in result:
                 covered = bool(result["lower"] <= truth <= result["upper"])
@@ -254,6 +315,25 @@ def test_oracle_checks_memory_grows_by_per_replication_values_only():
     assert _oracle_checks_peak(200_000) - _oracle_checks_peak(50_000) <= 3 * per_array
 
 
+_ALPHA, _FACTOR = r"alpha must be in \(0, 1\)", "factor must be positive"
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda: entrywise.calibrate_c0(20, 20, 1.0, [10.0], alpha=1.5, reps=2), _ALPHA),
+    (lambda: entrywise.calibrate_c0(20, 20, 1.0, [10.0], alpha=math.nan, reps=2), _ALPHA),
+    (lambda: ex.noise_norm_check(n=10, t=10, factor=math.nan, reps=3), _FACTOR),
+    (lambda: ex.noise_norm_check(n=10, t=10, factor=0.0, reps=3), _FACTOR),
+], ids=["calibrate_c0-alpha-1.5", "calibrate_c0-alpha-nan", "noise_norm_check-factor-nan",
+        "noise_norm_check-factor-0"])
+def test_checks_refuse_out_of_range_arguments_before_any_replication(check, message,
+                                                                     monkeypatch):
+    draws = []
+    monkeypatch.setattr(montecarlo, "replication_rng", lambda *key: draws.append(key))
+    with pytest.raises(ValueError, match=message):
+        check()
+    assert draws == []
+
+
 @pytest.mark.parametrize("reps", [0, -1])
 @pytest.mark.parametrize("check", [
     lambda reps: ex.lr_power_check(n=4, t=4, reps=reps),
@@ -270,14 +350,14 @@ def test_standalone_checks_reject_reps_below_one(check, reps, monkeypatch):
 
 @pytest.mark.parametrize("arm", ["nul", "bogus"])
 @pytest.mark.parametrize("generator, params", [
-    ("perturbation_pair_arm", {}),
-    ("panel_pair_arm", {}),
+    ("perturbation_pair_arm", {"kappa": 1.0, "eta": 0.5, "tau2": 1.0}),
+    ("panel_pair_arm", {"kappa2": 10.0, "c": 3.9}),
     ("testing_pair_arm", {"tau": 2.0, "kappa": 1.0, "alpha": 0.05}),
 ], ids=["perturbation_pair_arm", "panel_pair_arm", "testing_pair_arm"])
 def test_pair_generators_reject_unknown_arm(generator, params, arm, monkeypatch):
     grid_point = {"n": 30, "T": 30, "arm": arm}
     with pytest.raises(ValueError, match="arm must be"):
-        get_generator(generator)(grid_point, params)
+        get_generator(generator)(**grid_point, **params)
     draws = []
     monkeypatch.setattr(montecarlo, "replication_rng", lambda *key: draws.append(key))
     spec = ExperimentSpec(name="bad-arm", generator=generator, procedure="pca_point",
@@ -298,7 +378,7 @@ def test_pair_generators_reject_unknown_arm(generator, params, arm, monkeypatch)
 def test_pair_generators_check_the_arm_before_building_the_pair(spec, svd_values_calls):
     grid_point = dict(spec.grid[0], arm="bogus")
     with pytest.raises(ValueError, match="arm must be"):
-        get_generator(spec.generator)(grid_point, spec.generator_params)
+        get_generator(spec.generator)(**grid_point, **spec.generator_params)
     assert svd_values_calls == []
 
 
@@ -321,7 +401,7 @@ def test_pair_generators_check_the_arm_before_building_the_pair(spec, svd_values
         "panel_config_weak_d", "panel_pair_arm", "testing_pair_arm"])
 def test_generators_validate_ground_truths_without_a_full_svd(spec, svd_values_calls):
     for grid_point in spec.grid:
-        get_generator(spec.generator)(grid_point, spec.generator_params)
+        get_generator(spec.generator)(**grid_point, **spec.generator_params)
     assert svd_values_calls
     assert all(min(shape) <= 4 for shape in svd_values_calls), svd_values_calls
 
@@ -437,7 +517,7 @@ def test_csv_bytes_identical_whatever_blas_threads_the_caller_set(builder, n, t,
     ("panel_pair_arm", {"kappa2": 10.0, "c": 3.9}, 3),
 ], ids=["testing_pair", "hidden_entry", "panel_pair"])
 def test_spectra_per_pair_build(generator, params, spectra, svd_values_calls):
-    get_generator(generator)({"n": 24, "T": 24, "arm": "alt"}, params)
+    get_generator(generator)(n=24, T=24, arm="alt", **params)
     assert svd_values_calls == [(4, 24)] * spectra
 
 

@@ -22,6 +22,8 @@ def test_factor_instance_validation():
         FactorInstance(np.eye(3), kappa=1.0)  # rank 3
     with pytest.raises(ValueError):
         FactorInstance(np.zeros((2, 2)), kappa=-1.0)
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        FactorInstance(np.full((3, 3), 0.5), kappa=math.nan)
 
 
 @given(n=st.integers(2, 40), t=st.integers(2, 40), rank=st.integers(0, 2),
@@ -50,6 +52,8 @@ def test_panel_instance_validation():
     with pytest.raises(ValueError):
         PanelInstance(m + np.eye(4, 5), d, sigma_eps=1.0, sigma_u=1.0, beta=0.5,
                       r0=1, r1=1)  # rank(M) > r0
+    with pytest.raises(ValueError, match=r"\|beta\| exceeds kappa"):
+        PanelInstance(m, np.zeros((4, 5)), 1.0, 1.0, math.nan, r0=1, r1=0)
 
 
 def test_replication_rng_deterministic_and_independent():

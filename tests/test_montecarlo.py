@@ -26,7 +26,7 @@ BLAS_THREADS_SEEN = []  # OpenBLAS thread counts the "_test_blas_threads" proced
 
 
 @register_generator("_test_trivial")
-def _gen_trivial(grid_point, params):
+def _gen_trivial(**grid_point):
     if grid_point.get("unbuildable"):
         raise ValueError("no instance at this grid point")
     BUILT.append(grid_point)
@@ -34,39 +34,38 @@ def _gen_trivial(grid_point, params):
 
 
 @register_procedure("_test_trivial_interval")
-def _proc_trivial(data, grid_point, params):
-    k = params.get("kappa_bar", 1.0)
-    return {"estimate": 0.0, "lower": -k, "upper": k}
+def _proc_trivial(data, kappa_bar=1.0):
+    return {"estimate": 0.0, "lower": -kappa_bar, "upper": kappa_bar}
 
 
 @register_procedure("_test_noisy_point")
-def _proc_noisy(data, grid_point, params):
+def _proc_noisy(data):
     return {"estimate": float(np.mean(data))}
 
 
 @register_procedure("_test_recorded")
-def _proc_recorded(data, grid_point, params):
+def _proc_recorded(data):
     PROCEDURE_CALLS.append(data)
     return {"estimate": 0.0}
 
 
 @register_procedure("_test_blas_threads")
-def _proc_blas_threads(data, grid_point, params):
+def _proc_blas_threads(data):
     BLAS_THREADS_SEEN.append(_pool_threads())
     return {"estimate": 0.0}
 
 
 @register_procedure("_test_non_finite")
-def _proc_non_finite(data, grid_point, params):
+def _proc_non_finite(data, cutoff, field, value):
     result = {"estimate": 0.0, "lower": -1.0, "upper": 1.0}
-    if data[0] > params["cutoff"]:
-        result[params["field"]] = params["value"]
+    if data[0] > cutoff:
+        result[field] = value
     return result
 
 
 @register_procedure("_test_flaky")
-def _proc_flaky(data, grid_point, params):
-    if data[0] > params.get("cutoff", 0.0):
+def _proc_flaky(data, cutoff):
+    if data[0] > cutoff:
         raise RuntimeError("synthetic failure")
     return {"estimate": 0.0}
 
