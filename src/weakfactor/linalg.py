@@ -56,6 +56,7 @@ import ctypes
 import functools
 import glob
 import os
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -137,28 +138,42 @@ def _openblas_threads():
     return get, set_
 
 
+# The uses of single_blas_thread under way in this process, and the pool's
+# thread count that the first of them saved; both guarded by _CAP_LOCK.
+_CAP_LOCK = threading.Lock()
+_cap_users = _cap_saved = 0
+
+
 @contextlib.contextmanager
 def single_blas_thread():
     """Run the body with numpy's bundled OpenBLAS on one thread.
 
-    The pool's previous thread count is restored on exit, so a nested use
-    changes nothing.  Without a bundled OpenBLAS nothing changes.  The count
-    is process-wide, so the body's worker threads run on one BLAS thread
-    each instead of competing with BLAS threads for the cores.  Threads that
-    enter it concurrently without an enclosing use may restore each other's
-    counts out of order; start them inside one use, as run_experiment does.
+    The count is process-wide, so the body's worker threads run on one BLAS
+    thread each instead of competing with BLAS threads for the cores.  Uses
+    are counted across threads: the first to enter saves the pool's thread
+    count and sets 1, and the last to leave restores the saved count, so
+    nested and concurrent uses, from any threads, all run on one thread and
+    leave the pool as they found it.  Without a bundled OpenBLAS nothing
+    changes.
     """
+    global _cap_users, _cap_saved
     pool = _openblas_threads()
     if pool is None:
         yield
         return
     get, set_ = pool
-    previous = get()
-    set_(1)
+    with _CAP_LOCK:
+        if _cap_users == 0:
+            _cap_saved = get()
+            set_(1)
+        _cap_users += 1
     try:
         yield
     finally:
-        set_(previous)
+        with _CAP_LOCK:
+            _cap_users -= 1
+            if _cap_users == 0:
+                set_(_cap_saved)
 
 
 def _scaled(a: np.ndarray, top: float) -> tuple[np.ndarray, int]:
@@ -179,7 +194,11 @@ def _lapack():
     """dsyevr from numpy's bundled OpenBLAS as a ctypes routine, or None.
 
     Only a library reporting 64-bit integers, the width every integer is
-    passed at, is used.  Pointers are c_void_p (all 64 bits of an address);
+    passed at, is used.  Each of the routine's arguments has its type
+    declared here, so ctypes refuses a wrong one (an array of another dtype
+    or layout, a Python number or an integer of another width where a
+    pointer to an int64 or a double belongs) with ctypes.ArgumentError
+    before the routine runs, and passes a c_int64 or c_double by reference.
     ctypes releases the GIL during each call.  gfortran appends each
     character argument's length, a size_t, which a routine in C ignores.
     """
@@ -190,21 +209,16 @@ def _lapack():
     config.argtypes, config.restype = [], ctypes.c_char_p
     if b"USE64BITINT" not in config().split():
         return None
-    routine.argtypes = [ctypes.c_char_p] * 3 + [ctypes.c_void_p] * 18 + [ctypes.c_size_t] * 3
+    # One type per argument, in order: jobz, range, uplo (c); n, a, lda, vl,
+    # vu, il, iu, abstol, m, w, z, ldz, isuppz, work, lwork, iwork, liwork,
+    # info (i an int64 and d a double by reference, f and j float64 and
+    # int64 arrays); and the three lengths (s).
+    i, d = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+    f, j = (np.ctypeslib.ndpointer(t, flags="F_CONTIGUOUS") for t in (np.float64, np.int64))
+    c, s = ctypes.c_char_p, ctypes.c_size_t
+    routine.argtypes = [c, c, c, i, f, i, d, d, i, i, d, i, f, f, i, j, f, i, j, i, i, s, s, s]
     routine.restype = None
     return routine
-
-
-# How _call_dsyevr passes each type of Fortran argument: bytes as characters,
-# arrays by address, ints and floats by reference to an int64 or a double,
-# and a c_int64 (an output) by reference.
-_PASS = {
-    bytes: lambda arg: arg,
-    np.ndarray: lambda arg: arg.ctypes.data,
-    int: lambda arg: ctypes.byref(ctypes.c_int64(arg)),
-    float: lambda arg: ctypes.byref(ctypes.c_double(arg)),
-    ctypes.c_int64: ctypes.byref,
-}
 
 
 def _call_dsyevr(jobz, m, a, k, w, z, ldz, work, lwork, iwork, liwork):
@@ -212,11 +226,11 @@ def _call_dsyevr(jobz, m, a, k, w, z, ldz, work, lwork, iwork, liwork):
     # abstol 0, as scipy.linalg.eigh(subset_by_index=[m - k, m - 1]) passes
     # them, then the three characters' hidden lengths.  Returns (number of
     # eigenvalues found, info).
+    n, zero = ctypes.c_int64(m), ctypes.c_double(0.0)
     found, info = ctypes.c_int64(), ctypes.c_int64()
-    isuppz = np.empty(2 * k, dtype=np.int64)
-    args = (jobz, b"I", b"L", m, a, m, 0.0, 0.0, m - int(k) + 1, m, 0.0, found,
-            w, z, ldz, isuppz, work, lwork, iwork, liwork, info)
-    _lapack()(*[_PASS[type(arg)](arg) for arg in args], 1, 1, 1)
+    _lapack()(jobz, b"I", b"L", n, a, n, zero, zero, ctypes.c_int64(m - k + 1), n, zero, found,
+              w, z, ctypes.c_int64(ldz), np.empty(2 * k, dtype=np.int64), work,
+              ctypes.c_int64(lwork), iwork, ctypes.c_int64(liwork), info, 1, 1, 1)
     return found.value, info.value
 
 

@@ -10,6 +10,7 @@ results are bitwise reproducible at any worker count.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
 import os
@@ -47,9 +48,9 @@ __all__ = [
 # proc(data, **spec.procedure_params) -> a result dict with at least
 # "estimate", optionally "lower"/"upper" for interval procedures, plus
 # free-form extras.  Each plugin's signature names the keys it reads, so a
-# key that the plugin does not read fails the call: a generator's raises
-# InvalidGridPoint before any replication, a procedure's makes every
-# replication an error row.
+# key that the plugin does not read raises InvalidGridPoint before any
+# replication: a generator's when build_grid calls it, a procedure's when
+# build_grid binds the procedure's signature to its keys.
 _GENERATORS: dict[str, Callable] = {}
 _PROCEDURES: dict[str, Callable] = {}
 
@@ -221,8 +222,15 @@ def _summarize(spec: ExperimentSpec, gi: int, rows: list) -> GridSummary:
 def build_grid(spec: ExperimentSpec) -> list:
     """Build every grid point of `spec`, in grid order, on one BLAS thread.
 
-    A grid point that cannot be built raises :class:`InvalidGridPoint`.
+    A grid point that cannot be built raises :class:`InvalidGridPoint`, and
+    so, before any point is built, do procedure keywords that the
+    procedure's signature does not accept.
     """
+    try:
+        inspect.signature(get_procedure(spec.procedure)).bind(None, **spec.procedure_params)
+    except TypeError as exc:
+        raise InvalidGridPoint(f"{spec.name}: procedure {spec.procedure!r} cannot take "
+                               f"{sorted(spec.procedure_params)}: {exc}") from exc
     gen = get_generator(spec.generator)
     points = []
     with single_blas_thread():

@@ -154,6 +154,17 @@ def test_a_generator_param_no_generator_reads_is_refused(builder, monkeypatch):
     assert draws == []
 
 
+@pytest.mark.parametrize("builder", BUILDERS.values(), ids=BUILDERS)
+def test_a_procedure_param_the_procedure_does_not_read_is_refused(builder, monkeypatch):
+    spec = builder(reps=2)
+    spec = dataclasses.replace(spec, procedure_params={**spec.procedure_params, "bogus": 1.0})
+    draws = []
+    monkeypatch.setattr(montecarlo, "replication_rng", lambda *key: draws.append(key))
+    with pytest.raises(InvalidGridPoint, match=f"procedure '{spec.procedure}' .*'bogus'"):
+        run_experiment(spec)
+    assert draws == []
+
+
 def test_generator_outputs():
     rng = replication_rng(1, 0, 0)
     truth, draw = get_generator("rank_one_entrywise")(

@@ -532,6 +532,45 @@ def test_dsyevr_signature_checked(monkeypatch):
     assert spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
 
 
+def test_dsyevr_argument_types_declared():
+    if linalg._lapack() is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    c, s = ctypes.c_char_p, ctypes.c_size_t
+    i, d = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+    f = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
+    j = np.ctypeslib.ndpointer(np.int64, flags="F_CONTIGUOUS")
+    # jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz,
+    # isuppz, work, lwork, iwork, liwork, info, and the three lengths.
+    assert list(linalg._lapack().argtypes) == [c, c, c, i, f, i, d, d, i, i, d, i, f, f, i, j,
+                                               f, i, j, i, i, s, s, s]
+
+
+@pytest.mark.parametrize("bad", ["float32 w", "int32 iwork", "C-order z", "int lwork"])
+def test_dsyevr_refuses_arguments_of_another_type(bad):
+    # ctypes refuses each before dsyevr runs, so nothing is written.
+    if linalg._lapack() is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    m, k = 6, 2
+    lwork, liwork = linalg._dsyevr_workspace(m, b"V")
+    gram = np.eye(m, order="F")
+    args = {"w": np.empty(m), "z": np.empty((m, k), order="F"), "work": np.empty(lwork),
+            "lwork": lwork, "iwork": np.empty(liwork, dtype=np.int64), "liwork": liwork}
+    assert linalg._call_dsyevr(b"V", m, gram, k, ldz=m, **args) == (k, 0)
+    if bad == "int lwork":
+        # _call_dsyevr wraps its integers itself, so pass one to the routine.
+        with pytest.raises(ctypes.ArgumentError):
+            linalg._lapack()(b"V", b"I", b"L", m, gram, m, 0.0, 0.0, 1, m, 0.0, 0,
+                             args["w"], args["z"], m, np.empty(2 * k, dtype=np.int64),
+                             args["work"], lwork, args["iwork"], liwork, 0, 1, 1, 1)
+        return
+    replaced = {"float32 w": ("w", np.empty(m, dtype=np.float32)),
+                "int32 iwork": ("iwork", np.empty(liwork, dtype=np.int32)),
+                "C-order z": ("z", np.empty((m, k)))}
+    name, value = replaced[bad]
+    with pytest.raises(ctypes.ArgumentError):
+        linalg._call_dsyevr(b"V", m, gram, k, ldz=m, **{**args, name: value})
+
+
 @pytest.mark.parametrize("shape", [(200, 200), (300, 250), (90, 400), (1000, 1000)])
 def test_numpy_routes_match_lapack_routes(shape, monkeypatch, kernel_calls):
     # Without numpy's bundled OpenBLAS, dsyevr's site slices numpy's eigh.

@@ -3,6 +3,8 @@ import glob
 import json
 import math
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -235,6 +237,40 @@ def test_top_k_kernels_cap_blas_threads(two_blas_threads, monkeypatch):
     linalg.spectral_norm(big + rng.standard_normal((200, 210)))
     assert seen == [("_subset_eigh", 1)] * 3 + [("_krylov_norm", 1)]
     assert two_blas_threads() == 2
+
+
+def test_kernels_called_from_plain_threads_cap_and_restore_blas_threads(two_blas_threads,
+                                                                         monkeypatch):
+    # No enclosing single_blas_thread: each call's cap overlaps the other
+    # thread's, and the pool must end where it began.
+    seen = []
+    original = linalg._subset_eigh
+
+    def record(*args, **kwargs):
+        seen.append(_pool_threads())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_subset_eigh", record)
+    a = np.random.default_rng(4).standard_normal((300, 300))
+
+    def worker():
+        for _ in range(5):
+            linalg.svd_truncated(a, 2)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(10):
+            threads = [threading.Thread(target=worker) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert two_blas_threads() == 2
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == [1] * 100
 
 
 # Each check is recorded where it draws: the engine draws the replications of
