@@ -21,8 +21,8 @@ calls.
 
 Exit codes: 0 on success, 1 on experiment failure (more than 10% of a grid
 point's replications raised), 2 on usage errors and invalid input, a grid
-point that cannot be built included; invalid input stops before any
-replication runs.
+point that cannot be built and an ``--out`` whose directory is missing
+included; invalid input stops before any replication runs.
 """
 
 from __future__ import annotations
@@ -235,6 +235,12 @@ def resolve_config(args: argparse.Namespace) -> dict:
             low, high = option.bounds
             valid = f"> {low:g}" if high == math.inf else f"in ({low:g}, {high:g})"
             raise ValueError(f"{key} must be {valid}, got {value}")
+    # An output that cannot be written stops the run before its replications;
+    # panel-rate's per-experiment files and the .meta.json sidecar share its
+    # directory.
+    out = cfg["out"]
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+        raise ValueError(f"--out {out} must name a file in an existing directory")
     cfg["subcommand"] = sub
     cfg["library_version"] = __version__
     return cfg
@@ -252,9 +258,9 @@ def _write_table(table: ResultTable, cfg: dict) -> None:
         return
     if cfg["format"] == "csv":
         write_csv(table, out)
+        text = json.dumps(_recorded(cfg), indent=2, sort_keys=True, allow_nan=False)
         with open(out + ".meta.json", "w") as fh:
-            json.dump(_recorded(cfg), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
     else:
         write_json_summary(table, out, config=_recorded(cfg))
 
@@ -273,9 +279,9 @@ def _write_doc(doc: dict, cfg: dict) -> None:
             for key, value in sorted(_flatten(doc).items()):
                 writer.writerow([key, value])
     else:
+        text = json.dumps(doc, indent=2, sort_keys=True, default=str, allow_nan=False)
         with open(out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
+            fh.write(text + "\n")
 
 
 def _flatten(doc: dict, prefix: str = "") -> dict:

@@ -67,8 +67,11 @@ class Interval:
     upper: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise ValueError(f"non-finite interval bound: lower={self.lower}, upper={self.upper}")
+        # The width is non-finite when a bound is, or when finite bounds are
+        # further apart than the largest float.
+        if not math.isfinite(float(self.upper) - float(self.lower)):
+            raise ValueError(f"non-finite interval bound or width: lower={self.lower}, "
+                             f"upper={self.upper}")
         if self.lower > self.upper:
             raise ValueError(f"lower={self.lower} > upper={self.upper}")
 
@@ -256,29 +259,35 @@ def naive_pretest_ci(x, alpha: float = 0.05) -> Interval:
     control for the coverage-collapse experiments.
 
     The pre-test and all estimation steps use only the data excluding entry
-    (1,1): the submatrix of columns 2..T plus rows 2..n of column 1.
+    (1,1): the submatrix w of columns 2..T plus rows 2..n of column 1.  The
+    standard error is the plug-in variance of an estimated common component
+    (Bai, "Inferential theory for factor models of large dimensions",
+    Econometrica 71, 2003):
+
+        se^2 = sigma2 (|l_1|^2 + sum_{j <= khat} f_j^2 / s_j^2),
+
+    with sigma2 the residual mean square of w, l_1 row 1 of the orthonormal
+    loadings, s_j the singular values of w, and f the factor score fitted
+    from column 1.  The second term is Bai's f'(F'F/T)^-1 f / T: the scores
+    of w are F = w'L = V S, so F'F/T = S^2/T and the T cancels.  Since f is
+    fitted from column 1, the noise that moves the estimate also moves the
+    standard error.  Data zero outside column 1 (s_khat = 0) raise
+    DegenerateLoadingError.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    x, _, t = _data(x)
+    x = _data(x)[0]
     _as_matrix(x[1:, :1])  # rows 2..n of column 1; svd_truncated checks w
     w = x[:, 1:]
     top = svd_truncated(w, _PRETEST_K_MAX + 1)  # one decomposition for every step
     khat = _ratio_khat(top.s**2, _PRETEST_K_MAX)
+    if top.s[khat - 1] == 0.0:
+        raise DegenerateLoadingError("data are zero outside column 1")
     lhat = top.U[:, :khat]               # n x khat, orthonormal
     value, f1 = _fit_entry_11(x, lhat)
-
-    # Leverage-based plug-in standard error.  Row leverage uses the
-    # orthonormal loadings; column leverage uses the factor scores of w.
     h_row = float(lhat[0, :] @ lhat[0, :])
-    scores = w.T @ lhat                   # (T-1) x khat
-    score_cov = scores.T @ scores / t
-    try:
-        h_col = float(f1 @ np.linalg.solve(score_cov, f1)) / t
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateLoadingError("singular score covariance") from exc
-    sigma2 = _residual_mean_square(w, top, khat)
-    se = math.sqrt(max(sigma2 * (h_row + h_col), 0.0))
+    h_col = float(np.sum((f1 / top.s[:khat]) ** 2))
+    se = math.sqrt(_residual_mean_square(w, top, khat) * (h_row + h_col))
     z = NormalDist().inv_cdf(1.0 - alpha / 2.0)  # Wichura's AS241
     return Interval(value - z * se, value + z * se)
 

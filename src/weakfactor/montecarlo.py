@@ -161,7 +161,9 @@ def _run_cell(spec: ExperimentSpec, proc, points, gi: int, rep: int) -> Replicat
         result = proc(data, **spec.procedure_params)
         estimate = result.get("estimate")
         lower, upper = result.get("lower"), result.get("upper")
-        for name, value in (("estimate", estimate), ("lower", lower), ("upper", upper)):
+        width = None if lower is None or upper is None else float(upper) - float(lower)
+        for name, value in (("estimate", estimate), ("lower", lower), ("upper", upper),
+                            ("width", width)):
             if value is not None and not math.isfinite(value):
                 raise FloatingPointError(f"non-finite {name} {value!r}")
     except Exception as exc:  # recorded, not retried: retries would bias coverage
@@ -169,10 +171,7 @@ def _run_cell(spec: ExperimentSpec, proc, points, gi: int, rep: int) -> Replicat
             grid_index=gi, rep=rep, estimate=None, truth=None,
             covered=None, width=None, error_tag=f"{type(exc).__name__}: {exc}",
         )
-    covered = width = None
-    if lower is not None and upper is not None:
-        covered = bool(lower <= truth <= upper)
-        width = float(upper - lower)
+    covered = None if width is None else bool(lower <= truth <= upper)
     aux = {
         k: v for k, v in result.items() if k not in ("estimate", "lower", "upper")
     }
@@ -366,6 +365,6 @@ def write_json_summary(table: ResultTable, path, config: Optional[dict] = None) 
         "config": config or {},
         "summaries": [asdict(s) for s in table.summaries],
     }
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

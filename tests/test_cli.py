@@ -129,9 +129,19 @@ def test_bad_config_value_exit_code(sub, ini, tmp_path, capsys):
     # At n = T = 6 the coverage run's weak point asks for tau = 2 sqrt(n + T),
     # above kappa sqrt(nT): the grid is built before anything is calibrated.
     (["entrywise-coverage", "--calibrate", "--n", "6", "--T", "6", "--reps", "2"], {}),
+    # An output that cannot be written: its directory is missing, or it is
+    # a directory.  panel-rate's per-experiment files share the directory.
+    (["panel-tradeoff", "--n", "10", "--T", "10", "--reps", "1", "--out", "missing/x.csv"], {}),
+    (["panel-rate", "--panel-config", "all", "--reps", "1", "--out", "missing/x.csv"], {}),
+    (["oracle-check", "--reps", "20", "--out", "missing/x.json"], {}),
+    (["entrywise-rate", "--reps", "1", "--out", "."], {}),
 ])
 def test_invalid_size_exit_code(flags, tmp_path, monkeypatch, capsys):
     argv, env = flags
+    draws = []
+    # The engine's draws, and those of the standalone checks.
+    for module in (montecarlo, experiments):
+        monkeypatch.setattr(module, "replication_rng", lambda *key: draws.append(key))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "threads0.ini").write_text("[common]\nthreads = 0\n")
     (tmp_path / "seed-1.ini").write_text("[common]\nseed = -1\n")
@@ -140,7 +150,7 @@ def test_invalid_size_exit_code(flags, tmp_path, monkeypatch, capsys):
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert "error:" in captured.err
-    assert captured.out == ""  # nothing ran
+    assert captured.out == "" and draws == []  # nothing ran
 
 
 # panel-rate, and entrywise-rate in size mode, run their builders' own sizes.
@@ -225,6 +235,18 @@ def test_error_rows_abort_exit_code(capsys, monkeypatch):
     monkeypatch.setitem(montecarlo._PROCEDURES, "pca_point", failing)
     assert run_cli(["entrywise-rate", "--n", "10", "--T", "10", "--reps", "3"]) == 1
     assert "errored replications" in capsys.readouterr().err
+
+
+def test_overflowing_interval_width_exit_code(tmp_path, capsys):
+    # kappa_bar = 1e308 makes the trivial interval [-1e308, 1e308], whose
+    # width overflows: an error row, not a cover, and no summary is written.
+    out = tmp_path / "x.json"
+    argv = ["entrywise-coverage", "--kappa", "1e308", "--n", "20", "--T", "20", "--reps", "2",
+            "--format", "json", "--out", str(out)]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert "errored replications" in err and "non-finite interval bound or width" in err
+    assert not out.exists()
 
 
 def test_lower_bound_check_prints_tv(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -45,7 +46,8 @@ def test_interval_basics():
     assert iv.contains(0.0) and not iv.contains(2.5)
     with pytest.raises(ValueError):
         Interval(1.0, 0.0)
-    for bounds in [(math.nan, math.nan), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf)]:
+    for bounds in [(math.nan, math.nan), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf),
+                   (-1e308, 1e308)]:
         with pytest.raises(ValueError):
             Interval(*bounds)
 
@@ -379,6 +381,21 @@ def test_naive_pretest_ci_matches_full_svd_pipeline(seed):
 def test_naive_pretest_ci_validation():
     with pytest.raises(ValueError):
         naive_pretest_ci(np.ones((5, 5)), alpha=1.5)
+
+
+def test_naive_pretest_ci_refuses_data_zero_outside_column_1():
+    # w = x[:, 1:] is zero, so every singular value is 0 and the column
+    # leverage sum (f_j / s_j)^2 has nothing to divide by: refused before
+    # any division, with no warning.
+    rng = np.random.default_rng(31)
+    for t in (4, 7, 20, 41):
+        for n in range(3, 40):
+            x = np.zeros((n, t))
+            x[:, 0] = rng.standard_normal(n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DegenerateLoadingError):
+                    naive_pretest_ci(x)
 
 
 def test_calibrate_c0_runs_and_positive():

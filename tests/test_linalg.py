@@ -102,6 +102,23 @@ def test_svd_truncated_matches_full_svd_drawn(n, t, seed, tau, exponent):
             assert np.max(np.abs((u * s) @ v.T - oracle)) <= 1e-12 * sf[0]
 
 
+@given(n=st.integers(2, 12), t=st.integers(2, 12), k=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), tau=st.floats(0, 20), exponent=st.integers(-500, 500))
+@settings(max_examples=200, deadline=None)
+def test_svd_truncated_scores_are_v_times_s(n, t, k, seed, tau, exponent):
+    # a'U = V S, which lets naive_pretest_ci read its scores from s and V.
+    # The wide branch gets it from the Rayleigh-Ritz step Q'a = U_b S V' up
+    # to the rounding of products.  The tall branch forms U = a Q U_b S^-1,
+    # so a'U - V S is the Gram eigensolver's residual, of order eps s_1^2,
+    # divided by s_k.  The bounds are about 10 times the worst of 30 000
+    # draws at n, T <= 40: 5.2e-15 s_1 wide and 5.4e-15 s_1^2 / s_k tall.
+    k = min(k, n, t)
+    a = np.ldexp(_spectral_case((n, t), tau, 1.0, np.random.default_rng(seed)), exponent)
+    u, s, v = svd_truncated(a, k)
+    bound = 5e-14 * s[0] * (s[0] / s[k - 1] if n > t else 1.0)
+    assert np.max(np.abs(a.T @ u - v * s)) <= bound
+
+
 def test_svd_truncated_orthonormal_and_deterministic_sign():
     a = RNG.standard_normal((6, 6))
     u, s, v = svd_truncated(a, 4)

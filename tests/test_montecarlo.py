@@ -149,6 +149,12 @@ def test_non_finite_result_is_an_error_row(field, value):
                              procedure_params=dict(params, cutoff=-math.inf)))
 
 
+def test_overflowing_width_is_an_error_row():
+    # Finite bounds whose difference overflows are not an infinitely wide cover.
+    with pytest.raises(ExperimentError, match="non-finite width inf"):
+        run_experiment(_spec(procedure_params={"kappa_bar": 1e308}))
+
+
 def test_generator_called_once_per_grid_point():
     grid = ({"n": 3, "T": 3}, {"n": 4, "T": 3}, {"n": 5, "T": 3})
     BUILT.clear()
@@ -377,6 +383,14 @@ def test_write_json_summary(tmp_path):
     assert doc["config"] == {"threads": 2}
     assert doc["summaries"][0]["coverage"] == 1.0
     assert "library_version" in doc
+
+
+def test_write_json_summary_is_strict_json(tmp_path):
+    # NaN and Infinity are not JSON: the write fails and leaves no file.
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json_summary(run_experiment(_spec()), path, config={"c0": math.nan})
+    assert not path.exists()
 
 
 def test_unknown_generator_errors():
