@@ -13,7 +13,7 @@ Monte Carlo suite cross-checks empirically; nothing here decomposes a matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
@@ -74,7 +74,9 @@ def rank_one_testing_pair(
 
     Both means share the loading (kappa/2, c1, ..., c1); the null factor has a
     zero first coordinate while the alternative's is c2, chosen so the
-    total-variation distance between the observed-data laws is at most alpha.
+    total-variation distance between the observed-data laws is at most alpha:
+    c2 = q min(1/2, sqrt(T)/tau) with q = sqrt(log1p(alpha^2)) / 2, where
+    log1p keeps alpha^2 from being rounded away at small alpha.
     Both means lie in the one-factor space (sigma_1 >= tau, sigma_2 = 0,
     entries bounded by kappa); the null's (1,1) entry is 0 and the
     alternative's is the separation c2 kappa/2.
@@ -95,7 +97,7 @@ def rank_one_testing_pair(
         raise ValueError("alpha must be in (0, 1)")
 
     c1 = 2.0 * tau / math.sqrt(n * t)
-    q = math.sqrt(math.log(alpha**2 + 1.0)) / 2.0
+    q = math.sqrt(math.log1p(alpha**2)) / 2.0
     c2 = q * min(0.5, math.sqrt(t) / tau)
 
     loading = np.concatenate(([kappa / 2.0], np.full(n - 1, c1)))
@@ -190,7 +192,9 @@ def panel_shift_pair(m1, d1, c: float) -> TwoPointPair:
 
     Null: (M1, D1, 1, 1, 0).  Alternative: (M1 - delta D1, D1, 1, 1, delta)
     with delta = c (nT)^{-1/2}, so the Y-means coincide and the divergence is
-    carried entirely by the noise covariance: KL = c^2 / 2 exactly.
+    carried entirely by the noise covariance: KL = c^2 / 2 exactly.  The
+    alternative is the null with M and beta replaced, validated by the
+    PanelInstance constructor like any other instance.
 
     M1 must be rank one and orthogonal to the rank-one D1 in both row and
     column spaces (the strong-factor configuration), and min(n, T) must
@@ -227,7 +231,7 @@ def panel_shift_pair(m1, d1, c: float) -> TwoPointPair:
         raise ValueError("M1 and D1 must be orthogonal (M'D = 0 and MD' = 0)")
 
     delta = c / math.sqrt(n * t)
-    alt = null._shifted(m1 - delta * d1, beta=delta)
+    alt = replace(null, mean=m1 - delta * d1, beta=delta)
     # The nT pairs (Y_it, X_it) are independent and share their mean under
     # both laws, so the KL is nT times that of one pair: covariance I against
     # the 2x2 tilt, with no mean term.

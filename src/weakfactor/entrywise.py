@@ -224,18 +224,20 @@ def adaptive_ci(
     return est, Interval(est.value - half, est.value + half)
 
 
-def _residual_mean_square(x: np.ndarray, top: SvdResult, k: int) -> float:
-    # The residual itself, not ||x||_F^2 - sum(s^2), which cancels.
+def _residual_mean_square(x: np.ndarray, top: SvdResult, k: int, e: int) -> float:
+    # The residual itself, not ||x||_F^2 - sum(s^2), which cancels, in units
+    # of 2**e so that its squares neither overflow nor underflow.
     u, s, v = top
-    resid = x - (u[:, :k] * s[:k]) @ v[:, :k].T
+    resid = np.ldexp(x - (u[:, :k] * s[:k]) @ v[:, :k].T, -e)
     return float(np.sum(resid * resid) / resid.size)
 
 
 def _ratio_khat(lam: np.ndarray, k_max: int) -> int:
     """Eigenvalue-ratio rule for the number of factors.
 
-    Given the eigenvalues lam of XX' in nonincreasing order (at least
-    k_max + 1 of them), returns argmax_{1<=j<=k_max} lambda_j / lambda_{j+1}.
+    Given the eigenvalues lam of XX', or a positive multiple of them, in
+    nonincreasing order (at least k_max + 1 of them), returns
+    argmax_{1<=j<=k_max} lambda_j / lambda_{j+1}.
     If a denominator falls below 1e-12 * lambda_1 the scan stops and the
     current j is returned (the spectrum has effectively terminated).
     """
@@ -271,8 +273,11 @@ def naive_pretest_ci(x, alpha: float = 0.05) -> Interval:
     from column 1.  The second term is Bai's f'(F'F/T)^-1 f / T: the scores
     of w are F = w'L = V S, so F'F/T = S^2/T and the T cancels.  Since f is
     fitted from column 1, the noise that moves the estimate also moves the
-    standard error.  Data zero outside column 1 (s_khat = 0) raise
-    DegenerateLoadingError.
+    standard error.  s and the residual are squared in units of 2**e, e the
+    exponent of s_1, so the endpoints are exactly scale-equivariant: those of
+    2**j x are those of x times 2**j unless an entry, a residual, a product
+    of the fit or an endpoint falls below the normal floats.  Data zero
+    outside column 1 (s_1 = 0) raise DegenerateLoadingError.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
@@ -280,14 +285,16 @@ def naive_pretest_ci(x, alpha: float = 0.05) -> Interval:
     _as_matrix(x[1:, :1])  # rows 2..n of column 1; svd_truncated checks w
     w = x[:, 1:]
     top = svd_truncated(w, _PRETEST_K_MAX + 1)  # one decomposition for every step
-    khat = _ratio_khat(top.s**2, _PRETEST_K_MAX)
-    if top.s[khat - 1] == 0.0:
+    if top.s[0] == 0.0:
         raise DegenerateLoadingError("data are zero outside column 1")
+    e = int(np.frexp(top.s[0])[1])  # s and the residual are squared in units of 2**e
+    khat = _ratio_khat(np.ldexp(top.s, -e) ** 2, _PRETEST_K_MAX)
     lhat = top.U[:, :khat]               # n x khat, orthonormal
     value, f1 = _fit_entry_11(x, lhat)
     h_row = float(lhat[0, :] @ lhat[0, :])
     h_col = float(np.sum((f1 / top.s[:khat]) ** 2))
-    se = math.sqrt(_residual_mean_square(w, top, khat) * (h_row + h_col))
+    rms = _residual_mean_square(w, top, khat, e)  # in units of 4**e
+    se = math.ldexp(math.sqrt(rms * (h_row + h_col)), e)
     z = NormalDist().inv_cdf(1.0 - alpha / 2.0)  # Wichura's AS241
     return Interval(value - z * se, value + z * se)
 

@@ -281,10 +281,13 @@ def svd_truncated(a, k: int) -> SvdResult:
 
     The top-k eigenvectors Q of the Gram matrix of the shorter side, from
     the subset eigensolver on one BLAS thread, span the leading singular
-    subspace; the SVD of the k x T matrix Q'a then gives s, V and U = Q U_b.
-    That step works on the unscaled `a`, so V is orthonormal to machine
-    precision and s does not inherit the squared condition number of the
-    Gram matrix.
+    subspace; the SVD of the k x T matrix Q'b then gives s, V and U = Q U_b.
+    That step works on b = a 2**-e itself, not on its Gram matrix, so V is
+    orthonormal to machine precision and s does not inherit the squared
+    condition number of the Gram matrix.  Every step sees the same b for
+    a and 2**j a, and s is scaled back by 2**e, so the result is exactly
+    scale-equivariant while the entries and singular values of 2**j a stay
+    normal floats: the same U and V, and s times 2**j.
 
     Returns orthonormal U, V and nonincreasing singular values.  k may equal
     min(n, T), in which case the full decomposition is returned.
@@ -297,15 +300,15 @@ def svd_truncated(a, k: int) -> SvdResult:
     if tall:
         a = a.T
     with single_blas_thread():
-        b = _scaled(a, top)[0]
+        b, e = _scaled(a, top)
         q = _subset_eigh(b, k, vectors=True)[1]
-        ub, s, vt = np.linalg.svd(q.T @ a, full_matrices=False)
+        ub, s, vt = np.linalg.svd(q.T @ b, full_matrices=False)
     # Both in C order: the layout moves the last bits of products that read them.
     u, v = q @ ub, np.ascontiguousarray(vt.T)
     if tall:
         u, v = v, u
     _orient_columns(u, v)
-    return SvdResult(U=u, s=s, V=v)
+    return SvdResult(U=u, s=np.ldexp(s, e), V=v)
 
 
 # spectral_norm's Krylov route: the shorter side from which it is taken, its

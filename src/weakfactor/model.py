@@ -86,8 +86,7 @@ class PanelInstance:
         object.__setattr__(self, "mean_rank", numerical_rank(self.mean))
         if self.mean_rank > self.r0:
             raise ValueError(f"rank(M) exceeds declared bound r0={self.r0}")
-        if "regressor_rank" not in vars(self):  # else kept by _shifted, with D
-            object.__setattr__(self, "regressor_rank", numerical_rank(self.regressor_mean))
+        object.__setattr__(self, "regressor_rank", numerical_rank(self.regressor_mean))
         if self.regressor_rank > self.r1:
             raise ValueError(f"rank(D) exceeds declared bound r1={self.r1}")
         for name, sig in (("sigma_eps", self.sigma_eps), ("sigma_u", self.sigma_u)):
@@ -95,15 +94,6 @@ class PanelInstance:
                 raise ValueError(f"{name}={sig:g} outside [1/kappa, kappa]")
         if not abs(self.beta) <= self.kappa:
             raise ValueError("|beta| exceeds kappa")
-
-    def _shifted(self, mean, beta: float) -> PanelInstance:
-        """This instance with M and beta replaced, validated as any other,
-        except that D is unchanged and keeps its validated rank."""
-        inst = object.__new__(type(self))
-        object.__setattr__(inst, "regressor_rank", self.regressor_rank)
-        inst.__init__(mean, self.regressor_mean, self.sigma_eps, self.sigma_u, beta,
-                      self.r0, self.r1, self.kappa)
-        return inst
 
 
 def replication_rng(master_seed: int, *indices: int) -> np.random.Generator:

@@ -38,6 +38,11 @@ __all__ = [
 # closed-form width uses.
 Z_975 = 1.96
 
+# ls_estimator's stopping rule: the relative decrease of the objective at
+# which it has converged, and the iterations after which it gives up.
+_LS_RTOL = 1e-10
+_LS_MAX_ITER = 5000
+
 
 class DegenerateDesignError(ValueError):
     """Raised when the regressor matrix carries no usable variation."""
@@ -115,22 +120,17 @@ def estimate_beta(x, y, r0: int, r1: int) -> PanelEstimate:
     )
 
 
-def ls_estimator(
-    x,
-    y,
-    rank: int,
-    tol: float = 1e-10,
-    max_iter: int = 5000,
-) -> tuple[float, np.ndarray, bool]:
+def ls_estimator(x, y, rank: int) -> tuple[float, np.ndarray, bool]:
     """Least-squares fit of Y = A + X beta with rank(A) <= `rank`.
 
     Alternating minimization: the A-step is a truncated SVD of Y - X beta,
     the beta-step is scalar least squares on the residual.  The objective is
     monotonically nonincreasing; iteration stops when its relative decrease
-    falls below `tol`, a test invariant to scaling X and Y together
-    (a zero objective stops at once).  An X whose sum of squares is zero or
-    overflows, or a Y whose sum of squares overflows, raises
-    DegenerateDesignError before the first iteration.
+    falls below the fixed tolerance _LS_RTOL = 1e-10, a test invariant to
+    scaling X and Y together (a zero objective stops at once), and gives up
+    unconverged at the fixed cap of _LS_MAX_ITER = 5000 iterations.  An X
+    whose sum of squares is zero or overflows, or a Y whose sum of squares
+    overflows, raises DegenerateDesignError before the first iteration.
 
     Returns (beta_ls, a_hat, converged).
     """
@@ -152,7 +152,7 @@ def ls_estimator(
     beta = 0.0
     a = np.zeros_like(y)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_LS_MAX_ITER):
         # a's buffer holds Y - X beta for the A-step, then the new A.  Y - A
         # is taken once and becomes the residual in place; it and the scratch
         # array are freed before the next A-step, so that only a is held
@@ -166,7 +166,7 @@ def ls_estimator(
         resid -= np.multiply(x, beta, out=work)
         new_obj = float(np.sum(np.square(resid, out=resid)))
         del resid, work
-        if obj - new_obj <= tol * obj:
+        if obj - new_obj <= _LS_RTOL * obj:
             converged = True
             obj = new_obj
             break

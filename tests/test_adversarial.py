@@ -23,17 +23,21 @@ from weakfactor.model import FactorInstance, replication_rng, sample_observation
 RNG = np.random.default_rng(5)
 
 
-def test_testing_pair_construction_constants():
-    n, t, kappa, alpha = 40, 60, 1.0, 0.05
+# At alpha = 1e-9, alpha^2 + 1 rounds to 1, so q must come from log1p for
+# the alternative to differ from the null.
+@pytest.mark.parametrize("alpha", [0.05, 1e-9])
+def test_testing_pair_construction_constants(alpha):
+    n, t, kappa = 40, 60, 1.0
     tau = kappa * math.sqrt(n * t) / 12.0
     pair = rank_one_testing_pair(n, t, tau, kappa, alpha)
-    q = math.sqrt(math.log(alpha**2 + 1.0)) / 2.0
+    q = math.sqrt(math.log1p(alpha**2)) / 2.0
     c1 = 2.0 * tau / math.sqrt(n * t)
     c2 = q * min(0.5, math.sqrt(t) / tau)
     assert pair.info["q"] == pytest.approx(q, rel=1e-12)
     assert pair.info["c1"] == pytest.approx(c1, rel=1e-12)
     assert pair.info["c2"] == pytest.approx(c2, rel=1e-12)
     assert pair.separation == pytest.approx(c2 * kappa / 2.0, rel=1e-12)
+    assert pair.separation > 0
 
     null_m = pair.null_instance.mean
     alt_m = pair.alt_instance.mean

@@ -506,13 +506,19 @@ def test_adaptive_ci_invariant_to_order_of_rows_and_columns_2_on(rep, seed):
     _assert_endpoints_moved_at_most(iv_p, iv, 1e-12)
 
 
+# Powers of two scale every step exactly across the range of
+# _normal_exponents, less 8 exponents at its bottom, where the residual, the
+# fit's products or an endpoint can leave the normal range: over 3000 draws
+# at each of the lowest 16 exponents, those 0 to 3 above the bottom moved an
+# endpoint 147, 57, 14 and 4 times, and the others never did.
 @given(n=st.integers(4, 12), t=st.integers(4, 12), seed=st.integers(0, 2**32 - 1),
-       tau=st.floats(0, 30))
+       tau=st.floats(0, 30), data=st.data())
 @settings(max_examples=100, deadline=None)
-def test_pretest_endpoints_scale_with_the_data(n, t, seed, tau):
+def test_pretest_endpoints_scale_with_the_data(n, t, seed, tau, data):
     _, x = _entrywise_draw(n, t, seed, tau)
     iv = naive_pretest_ci(x)
-    for j in (-30, -7, 9, 30):  # powers of two scale every step exactly
+    lo, hi = _normal_exponents(x)
+    for j in (-30, -7, 9, 30, data.draw(st.integers(lo + 8, hi), label="j")):
         scaled = naive_pretest_ci(np.ldexp(x, j))
         assert (scaled.lower, scaled.upper) == (np.ldexp(iv.lower, j), np.ldexp(iv.upper, j))
     for c in (1e-4, 1e4):

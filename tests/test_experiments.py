@@ -520,22 +520,24 @@ def test_csv_bytes_identical_whatever_blas_threads_the_caller_set(builder, n, t,
 # ground truth has rank at most 2, so each spectrum is one values-only SVD of
 # the (4, T) rank-4 sketch, and none is a full SVD.  One build of a testing
 # pair takes 2 spectra (its two means), of a hidden-entry grid point 2 (the
-# base and the alternative), of a panel pair 3 (M of each arm and the D they
-# share).
+# base and the alternative), of a panel pair 4 (M and D of each arm: the
+# alternative is validated by the constructor like any other instance, so it
+# takes the rank of the D it shares with the null again).
 @pytest.mark.parametrize("generator, params, spectra", [
     ("testing_pair_arm", {"tau": 2.0, "kappa": 1.0, "alpha": 0.05}, 2),
     ("perturbation_pair_arm", {"kappa": 1.0, "eta": 0.25, "tau2": 1.0}, 2),
-    ("panel_pair_arm", {"kappa2": 10.0, "c": 3.9}, 3),
+    ("panel_pair_arm", {"kappa2": 10.0, "c": 3.9}, 4),
 ], ids=["testing_pair", "hidden_entry", "panel_pair"])
 def test_spectra_per_pair_build(generator, params, spectra, svd_values_calls):
     get_generator(generator)(n=24, T=24, arm="alt", **params)
     assert svd_values_calls == [(4, 24)] * spectra
 
 
-# Each grid point builds its pair once; lr_power_check builds one more
-# testing pair after its two grid points.
+# Each grid point builds its pair once (4 spectra for a panel pair, 2 for
+# the others); lr_power_check builds one more testing pair after its two
+# grid points.
 @pytest.mark.parametrize("run, spectra", [
-    (lambda: run_experiment(ex.panel_tradeoff_spec(n=24, t=24, reps=1)), 2 * 3),
+    (lambda: run_experiment(ex.panel_tradeoff_spec(n=24, t=24, reps=1)), 2 * 4),
     (lambda: run_experiment(ex.pretest_control_spec(n=24, t=24, reps=1)), 2 * 2),
     (lambda: ex.lr_power_check(n=24, t=24, reps=2), 3 * 2),
 ], ids=["panel_tradeoff", "pretest_control", "lr_power_check"])

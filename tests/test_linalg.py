@@ -88,10 +88,15 @@ def test_svd_truncated_matches_full_svd(a):
        tau=st.floats(0, 20), exponent=st.integers(-600, 600))
 @settings(max_examples=100, deadline=None)
 def test_svd_truncated_matches_full_svd_drawn(n, t, seed, tau, exponent):
-    a = np.ldexp(_spectral_case((n, t), tau, 1.0, np.random.default_rng(seed)), exponent)
+    a0 = _spectral_case((n, t), tau, 1.0, np.random.default_rng(seed))
+    a = np.ldexp(a0, exponent)
     uf, sf, vft = np.linalg.svd(a, full_matrices=False)
     for k in range(1, min(n, t) + 1):
         u, s, v = svd_truncated(a, k)
+        # Exactly scale-equivariant: the same factors as the unscaled case.
+        u0, s0, v0 = svd_truncated(a0, k)
+        assert np.array_equal(u, u0) and np.array_equal(v, v0)
+        assert np.array_equal(s, np.ldexp(s0, exponent))
         assert np.max(np.abs(s - sf[:k])) <= 1e-12 * sf[0]
         assert np.max(np.abs(u.T @ u - np.eye(k))) <= 1e-12
         assert np.max(np.abs(v.T @ v - np.eye(k))) <= 1e-12

@@ -135,24 +135,28 @@ def test_ls_estimator_refuses_an_overflowing_y_before_decomposing(monkeypatch):
         ls_estimator(x, np.ldexp(y, 520), rank=2)
 
 
-def test_ls_estimator_objective_monotone():
+def test_ls_estimator_objective_monotone(monkeypatch):
     x = RNG.standard_normal((15, 15))
     y = np.outer(RNG.standard_normal(15), RNG.standard_normal(15)) + 0.7 * x
+    monkeypatch.setattr(panel, "_LS_RTOL", 0.0)
     objectives = []
     for iters in range(1, 8):
-        beta, a, _ = ls_estimator(x, y, rank=1, tol=0.0, max_iter=iters)
+        monkeypatch.setattr(panel, "_LS_MAX_ITER", iters)
+        beta, a, _ = ls_estimator(x, y, rank=1)
         objectives.append(float(np.sum((y - a - x * beta) ** 2)))
     assert all(b <= a + 1e-9 for a, b in zip(objectives, objectives[1:]))
 
 
-def test_ls_estimator_converges_past_500_iterations():
+def test_ls_estimator_converges_past_500_iterations(monkeypatch):
     # A recorded draw from the null arm of panel-tradeoff at n = T = 5 (grid
     # point 0, replication 18 of the default seed): its fit converges after
-    # about 975 iterations, past the former 500-iteration cap and within the
-    # default.
+    # about 975 iterations, past the former 500-iteration cap and within
+    # _LS_MAX_ITER.
     inst = panel_shift_pair(*panel_means(5, 5, 5.0, 50.0), 3.9).null_instance
     x, y = sample_panel(inst, replication_rng(DEFAULT_SEED, 0, 18))
-    assert not ls_estimator(x, y, rank=2, max_iter=500)[2]
+    with monkeypatch.context() as patch:
+        patch.setattr(panel, "_LS_MAX_ITER", 500)
+        assert not ls_estimator(x, y, rank=2)[2]
     assert ls_estimator(x, y, rank=2)[2]
 
 
